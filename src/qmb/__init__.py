@@ -41,6 +41,18 @@ from .ore import (
     witness_generator_constructive,
 )
 from .exprparse import parse_element
+from . import algebra, minors, ore
+
+
+def clear_caches() -> None:
+    """Empty every process-global cache: the rewrite tables, expanded minors,
+    minor powers and certified generator witnesses."""
+    algebra._APPEND_CACHE.clear()
+    algebra._WORD_MUL_CACHE.clear()
+    minors._minor_columns_cached.cache_clear()
+    ore._minor_power.cache_clear()
+    ore._GEN_WITNESS_CACHE.clear()
+
 
 __all__ = [
     "LaurentQ",
@@ -51,6 +63,7 @@ __all__ = [
     "Element",
     "MultiDegree",
     "basis_monomials",
+    "clear_caches",
     "commutator",
     "commutative_product",
     "degree_cap",

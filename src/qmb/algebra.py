@@ -72,11 +72,6 @@ _APPEND_CACHE: dict[tuple[Word, Gen], tuple[tuple[Word, LaurentQ], ...]] = {}
 _WORD_MUL_CACHE: dict[tuple[Word, Word], tuple[tuple[Word, LaurentQ], ...]] = {}
 
 
-def clear_caches() -> None:
-    _APPEND_CACHE.clear()
-    _WORD_MUL_CACHE.clear()
-
-
 def _append_gen(word: Word, g: Gen) -> tuple[tuple[Word, LaurentQ], ...]:
     """Normal form of (sorted word) * (generator), as sorted words with coefficients.
 

@@ -51,6 +51,12 @@ def _labels(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"expected a comma-separated integer list, got {text!r}")
 
 
+def _positive_int(text: str) -> int:
+    if not text.strip().isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def _emit(data, fmt: str, out_path=None) -> None:
     if fmt == "json":
         text = json.dumps(data, indent=2, sort_keys=True) + "\n"
@@ -179,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, with_n=True):
         if with_n:
-            p.add_argument("--n", type=int, required=True, help="matrix size (fixes the algebra)")
+            p.add_argument("--n", type=_positive_int, required=True, help="matrix size (fixes the algebra)")
         p.add_argument("--format", choices=("text", "json"), default=None)
         p.add_argument("--out", default=None, help="write output to this path instead of stdout")
 
@@ -214,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_identity, default_format="json")
 
     p = sub.add_parser("suite", help="sweep all identity configurations up to caps")
-    p.add_argument("--n", type=int, default=4, help="largest matrix size to sweep")
+    p.add_argument("--n", type=_positive_int, default=4, help="largest matrix size to sweep")
     p.add_argument("--size-cap", type=int, default=3, help="largest minor size")
     p.add_argument("--no-membership", action="store_true")
     p.add_argument("--format", choices=("text", "json"), default=None)

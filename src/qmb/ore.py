@@ -8,9 +8,9 @@ against the set generated by a minor ``D``:
 
 ``scale`` is a central Laurent scalar (the product of cleared denominators;
 ``1`` in every constructive witness), and ``target_power`` is 1 except for
-intermediate witnesses produced by :func:`extend_to_power`.  Every
-constructor re-checks the equation by an independent normal-form computation
-before returning, so no uncertified witness ever escapes.
+intermediate witnesses produced by :func:`extend_to_power`.  Every public
+function replays the equation of the witness it returns exactly once, by an
+independent normal-form computation, so no uncertified witness ever escapes.
 
 Two independent routes produce witnesses:
 
@@ -25,11 +25,11 @@ Two independent routes produce witnesses:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass, field, replace
+from functools import lru_cache, partial, reduce
 from typing import Optional, Sequence
 
-from .algebra import Element, MultiDegree, basis_monomials, commutator
+from .algebra import Element, basis_monomials, commutator
 from .identities import gap_correction_terms
 from .linalg import clear_denominators, solve_linear
 from .minors import MinorId, minor_element, qcommutation_probe
@@ -64,7 +64,7 @@ def minor_power(n: int, minor: MinorId, k: int) -> Element:
     return _minor_power(n, minor.rows, minor.cols, k)
 
 
-@dataclass
+@dataclass(frozen=True)
 class OreWitness:
     n: int
     minor: MinorId
@@ -91,14 +91,14 @@ class OreWitness:
         return lhs - rhs
 
     def certify(self) -> "OreWitness":
+        """A copy marked certified once the equation replays to zero."""
         res = self.residual()
         if not res.is_zero():
             raise CertificateError(
                 f"witness for {self.element.render()} against {self.minor.label()} "
                 f"({self.side}, power {self.power}) has nonzero residual {res.render()}"
             )
-        self.certified = True
-        return self
+        return replace(self, certified=True)
 
     def to_json(self) -> dict:
         return {
@@ -132,14 +132,6 @@ def _node(rule: str, detail: Optional[dict] = None, children: Optional[list[dict
     return out
 
 
-# -- basis enumeration (the multidegree-forced search space) --------------------
-
-
-def enumerate_basis(n: int, degree: MultiDegree) -> list:
-    """All normal-ordered words of the given multidegree."""
-    return basis_monomials(n, degree.rows, degree.cols)
-
-
 # -- the exact linear solver ------------------------------------------------------
 
 
@@ -156,7 +148,7 @@ def _solve_at_power(n: int, minor: MinorId, element: Element, side: str, m: int)
     x_deg = t_deg.minus(d_deg)
     if x_deg is None:
         return None, {"power": m, "reason": "empty multidegree component", "rank": 0}
-    basis = enumerate_basis(n, x_deg)
+    basis = basis_monomials(n, x_deg.rows, x_deg.cols)
     columns = []
     support: dict = {}
     for b in basis:
@@ -232,13 +224,17 @@ def solve_witness(
         m_max = minor.size() + max(element.degree(), 0)
     if element.multidegree() is None:
         comps = list(element.homogeneous_components().values())
-        witnesses = [solve_witness(n, minor, c, side, m_max) for c in comps]
-        out = witnesses[0]
-        for w in witnesses[1:]:
-            out = compose_sum(out, w)
-        out.derivation = _node("split", {"components": len(comps)}, [w.derivation for w in witnesses])
-        return out.certify()
+        witnesses = [_solve_homogeneous(n, minor, c, side, m_max) for c in comps]
+        split = _node("split", {"components": len(comps)}, [w.derivation for w in witnesses])
+        out = replace(reduce(_compose_sum, witnesses), derivation=split)
+    else:
+        out = _solve_homogeneous(n, minor, element, side, m_max, strategy_label)
+    return out.certify()
 
+
+def _solve_homogeneous(
+    n: int, minor: MinorId, element: Element, side: str, m_max: int, strategy_label: str = "solver"
+) -> OreWitness:
     infeasible: list[dict] = []
     for m in range(1, m_max + 1):
         solved, record = _solve_at_power(n, minor, element, side, m)
@@ -246,7 +242,7 @@ def solve_witness(
             infeasible.append(record)
             continue
         scale, cofactor = solved
-        w = OreWitness(
+        return OreWitness(
             n=n,
             minor=minor,
             element=element,
@@ -258,7 +254,6 @@ def solve_witness(
             denominator_zeros=_factor_scale(scale),
             infeasible=infeasible,
         )
-        return w.certify()
     raise UnsatWithinBound(
         f"no witness for {element.render()} against {minor.label()} ({side}) up to power {m_max}",
         infeasible,
@@ -266,6 +261,9 @@ def solve_witness(
 
 
 # -- composition calculus ----------------------------------------------------------
+# Each ``_name`` builder composes without replaying; the public ``name``
+# certifies its result once.  A replay of an intermediate equation cannot make
+# a wrong final one right, so nested compositions are not replayed.
 
 
 def _require_compatible(w1: OreWitness, w2: OreWitness) -> None:
@@ -275,8 +273,7 @@ def _require_compatible(w1: OreWitness, w2: OreWitness) -> None:
         raise ValueError("composition requires plain witnesses (target power 1)")
 
 
-def scale_witness(w: OreWitness, factor: LaurentQ) -> OreWitness:
-    """Witness for ``factor * element`` (central scalar factor)."""
+def _scale_witness(w: OreWitness, factor: LaurentQ) -> OreWitness:
     factor = LaurentQ.coerce(factor)
     if factor.is_zero():
         raise ValueError("cannot witness the zero element")
@@ -291,16 +288,15 @@ def scale_witness(w: OreWitness, factor: LaurentQ) -> OreWitness:
         target_power=w.target_power,
         derivation=_node("scale", {"factor": factor.render()}, [w.derivation]),
         denominator_zeros=list(w.denominator_zeros),
-    ).certify()
+    )
 
 
-def extend_to_power(w: OreWitness, j: int, _depth: int = 0) -> OreWitness:
-    """Re-derive a witness clearing the element against ``D^j`` instead of ``D``.
+def scale_witness(w: OreWitness, factor: LaurentQ) -> OreWitness:
+    """Witness for ``factor * element`` (central scalar factor)."""
+    return _scale_witness(w, factor).certify()
 
-    Iteratively clears the running cofactor against the minor, raising the
-    cleared power by one each step, then pads on the left so the total power
-    is a multiple of ``j``.
-    """
+
+def _extend_to_power(w: OreWitness, j: int, _depth: int) -> OreWitness:
     if j < 1:
         raise ValueError("target power must be positive")
     if w.target_power != 1:
@@ -312,7 +308,7 @@ def extend_to_power(w: OreWitness, j: int, _depth: int = 0) -> OreWitness:
     children = [w.derivation]
     zeros = list(w.denominator_zeros)
     for p in range(1, j):
-        wr = witness_for_element(n, minor, R, side, strategy="constructive", _depth=_depth + 1)
+        wr = _witness_constructive(n, minor, R, side, _depth + 1)
         children.append(wr.derivation)
         zeros.extend(wr.denominator_zeros)
         P += wr.power
@@ -323,7 +319,7 @@ def extend_to_power(w: OreWitness, j: int, _depth: int = 0) -> OreWitness:
     if pad:
         Dpad = minor_power(n, minor, pad)
         R = Dpad * R if side == LEFT else R * Dpad
-    out = OreWitness(
+    return OreWitness(
         n=n,
         minor=minor,
         element=w.element,
@@ -335,34 +331,38 @@ def extend_to_power(w: OreWitness, j: int, _depth: int = 0) -> OreWitness:
         derivation=_node("power", {"target": j, "pad": pad}, children),
         denominator_zeros=zeros,
     )
-    return out.certify()
 
 
-def compose_product(w1: OreWitness, w2: OreWitness, _depth: int = 0) -> OreWitness:
-    """Witness for ``e1 * e2`` from witnesses for the factors.
+def extend_to_power(w: OreWitness, j: int) -> OreWitness:
+    """Re-derive a witness clearing the element against ``D^j`` instead of ``D``.
 
-    One factor's witness is re-derived against the power the other factor's
-    witness consumes, then the two clearances chain: left form clears the
-    right factor first, right form the left factor.
+    Iteratively clears the running cofactor against the minor, raising the
+    cleared power by one each step, then pads on the left so the total power
+    is a multiple of ``j``.  ``j == 1`` returns ``w`` itself.
     """
+    out = _extend_to_power(w, j, 0)
+    return w if out is w else out.certify()
+
+
+def _compose_product(w1: OreWitness, w2: OreWitness, _depth: int) -> OreWitness:
     _require_compatible(w1, w2)
     n, minor, side = w1.n, w1.minor, w1.side
     element = w1.element * w2.element
     if element.is_zero():
         raise ValueError("product of witnessed elements is zero")
     if side == LEFT:
-        ext = extend_to_power(w1, w2.power, _depth=_depth)
+        ext = _extend_to_power(w1, w2.power, _depth)
         cofactor = ext.cofactor * w2.cofactor
         power, scale = ext.power, ext.scale * w2.scale
         children = [ext.derivation, w2.derivation]
         zeros = ext.denominator_zeros + w2.denominator_zeros
     else:
-        ext = extend_to_power(w2, w1.power, _depth=_depth)
+        ext = _extend_to_power(w2, w1.power, _depth)
         cofactor = w1.cofactor * ext.cofactor
         power, scale = ext.power, w1.scale * ext.scale
         children = [w1.derivation, ext.derivation]
         zeros = w1.denominator_zeros + ext.denominator_zeros
-    out = OreWitness(
+    return OreWitness(
         n=n,
         minor=minor,
         element=element,
@@ -373,12 +373,19 @@ def compose_product(w1: OreWitness, w2: OreWitness, _depth: int = 0) -> OreWitne
         derivation=_node("product", None, children),
         denominator_zeros=zeros,
     )
-    return out.certify()
 
 
-def compose_sum(w1: OreWitness, w2: OreWitness) -> OreWitness:
-    """Witness for ``e1 + e2``; powers align by padding to the larger one
-    (powers of the minor commute with each other)."""
+def compose_product(w1: OreWitness, w2: OreWitness) -> OreWitness:
+    """Witness for ``e1 * e2`` from witnesses for the factors.
+
+    One factor's witness is re-derived against the power the other factor's
+    witness consumes, then the two clearances chain: left form clears the
+    right factor first, right form the left factor.
+    """
+    return _compose_product(w1, w2, 0).certify()
+
+
+def _compose_sum(w1: OreWitness, w2: OreWitness) -> OreWitness:
     _require_compatible(w1, w2)
     n, minor, side = w1.n, w1.minor, w1.side
     element = w1.element + w2.element
@@ -391,7 +398,7 @@ def compose_sum(w1: OreWitness, w2: OreWitness) -> OreWitness:
         cofactor = (pad1 * w1.cofactor).scale(w2.scale) + (pad2 * w2.cofactor).scale(w1.scale)
     else:
         cofactor = (w1.cofactor * pad1).scale(w2.scale) + (w2.cofactor * pad2).scale(w1.scale)
-    out = OreWitness(
+    return OreWitness(
         n=n,
         minor=minor,
         element=element,
@@ -402,24 +409,17 @@ def compose_sum(w1: OreWitness, w2: OreWitness) -> OreWitness:
         derivation=_node("sum", None, [w1.derivation, w2.derivation]),
         denominator_zeros=w1.denominator_zeros + w2.denominator_zeros,
     )
-    return out.certify()
 
 
-def reduce_relative(
-    n: int,
-    minor: MinorId,
-    element: Element,
-    pair: tuple[Element, int],
-    e_witness: OreWitness,
-    side: str = LEFT,
+def compose_sum(w1: OreWitness, w2: OreWitness) -> OreWitness:
+    """Witness for ``e1 + e2``; powers align by padding to the larger one
+    (powers of the minor commute with each other)."""
+    return _compose_sum(w1, w2).certify()
+
+
+def _reduce_relative(
+    n: int, minor: MinorId, element: Element, pair: tuple[Element, int], e_witness: OreWitness, side: str
 ) -> OreWitness:
-    """Witness for ``element`` from a clearance that is exact only modulo a
-    witnessed defect.
-
-    ``pair = (r0, m0)`` must satisfy (left form) ``NF(r0 D - D^m0 element) ==
-    e_witness.element``; the defect's witness then upgrades the pair to an
-    exact witness of power ``m0 + e_witness.power``.
-    """
     _check_side(side)
     if e_witness.side != side or e_witness.minor != minor or e_witness.n != n:
         raise ValueError("defect witness must match the minor and side")
@@ -437,7 +437,7 @@ def reduce_relative(
         return OreWitness(
             n=n, minor=minor, element=element, side=side, power=m0, cofactor=r0,
             derivation=_node("relative", {"base_power": m0, "defect": "zero"}),
-        ).certify()
+        )
     if defect != e_witness.element:
         raise ValueError(
             "relative pair mismatch: the pair's defect does not equal the witnessed element"
@@ -448,7 +448,7 @@ def reduce_relative(
         cofactor = (Dme * r0).scale(se) - re_
     else:
         cofactor = (r0 * Dme).scale(se) + re_
-    out = OreWitness(
+    return OreWitness(
         n=n,
         minor=minor,
         element=element,
@@ -459,7 +459,19 @@ def reduce_relative(
         derivation=_node("relative", {"base_power": m0}, [e_witness.derivation]),
         denominator_zeros=list(e_witness.denominator_zeros),
     )
-    return out.certify()
+
+
+def reduce_relative(
+    n: int, minor: MinorId, element: Element, pair: tuple[Element, int], e_witness: OreWitness, side: str = LEFT
+) -> OreWitness:
+    """Witness for ``element`` from a clearance that is exact only modulo a
+    witnessed defect.
+
+    ``pair = (r0, m0)`` must satisfy (left form) ``NF(r0 D - D^m0 element) ==
+    e_witness.element``; the defect's witness then upgrades the pair to an
+    exact witness of power ``m0 + e_witness.power``.
+    """
+    return _reduce_relative(n, minor, element, pair, e_witness, side).certify()
 
 
 # -- constructive witnesses for generators -----------------------------------------
@@ -473,58 +485,51 @@ def witness_generator_constructive(
 ) -> OreWitness:
     """Certified witness for the generator ``t[k,l]``, by case analysis on the
     position of ``(k, l)`` relative to the minor's index sets; no generic
-    linear solving anywhere on this path."""
+    linear solving anywhere on this path.  Certified once, on entering the cache."""
     _check_side(side)
     if _depth > 50:
         raise RecursionError("constructive witness recursion exceeded the safety bound")
     key = (n, minor.rows, minor.cols, k, l, side)
-    hit = _GEN_WITNESS_CACHE.get(key)
-    if hit is not None:
-        return hit
+    out = _GEN_WITNESS_CACHE.get(key)
+    if out is None:
+        out = _GEN_WITNESS_CACHE[key] = _generator_witness(n, minor, k, l, side, _depth).certify()
+    return out
+
+
+def _generator_witness(n: int, minor: MinorId, k: int, l: int, side: str, _depth: int) -> OreWitness:
+    t = Element.generator(n, k, l)
+    t_witness = partial(OreWitness, n=n, minor=minor, element=t, side=side)
     if side == RIGHT:
         # anti-automorphism t[i,j] -> t[n+1-j, n+1-i] turns right clearances
         # into left clearances for the reflected minor
         w0 = lambda s: tuple(sorted(n + 1 - x for x in s))  # noqa: E731
         mirror_minor = MinorId(w0(minor.cols), w0(minor.rows))
         left = witness_generator_constructive(n, mirror_minor, n + 1 - l, n + 1 - k, LEFT, _depth)
-        out = OreWitness(
-            n=n,
-            minor=minor,
-            element=Element.generator(n, k, l),
-            side=RIGHT,
-            power=left.power,
-            cofactor=left.cofactor.antitranspose(),
-            scale=left.scale,
+        return t_witness(
+            power=left.power, cofactor=left.cofactor.antitranspose(), scale=left.scale,
             derivation=_node("mirror", {"map": "t[i,j] -> t[n+1-j,n+1-i]"}, [left.derivation]),
             denominator_zeros=list(left.denominator_zeros),
-        ).certify()
-        _GEN_WITNESS_CACHE[key] = out
-        return out
+        )
 
     K, L = minor.rows, minor.cols
-    t = Element.generator(n, k, l)
     D = minor_element(n, minor)
     row_in, col_in = k in K, l in L
 
     if row_in and col_in:
-        out = OreWitness(
-            n=n, minor=minor, element=t, side=LEFT, power=1, cofactor=t,
-            derivation=_node("central", {"k": k, "l": l}),
-        ).certify()
-    elif (row_in and (l < min(L) or l > max(L))) or (col_in and (k < min(K) or k > max(K))):
+        return t_witness(power=1, cofactor=t, derivation=_node("central", {"k": k, "l": l}))
+    if (row_in and (l < min(L) or l > max(L))) or (col_in and (k < min(K) or k > max(K))):
         e = qcommutation_probe(t, D)
         if e is None:
             raise CertificateError(f"expected q-commutation of t[{k},{l}] with {minor.label()}")
-        out = OreWitness(
-            n=n, minor=minor, element=t, side=LEFT, power=1,
-            cofactor=t.scale(LaurentQ.q_power(-e)),
+        return t_witness(
+            power=1, cofactor=t.scale(LaurentQ.q_power(-e)),
             derivation=_node("q-commute", {"k": k, "l": l, "exponent": e}),
-        ).certify()
-    elif row_in:
+        )
+    if row_in:
         # column gap: the commutation defect expands over minors with one
         # replaced column label, each q-commuting with D
         terms = gap_correction_terms(n, K, L, k, l)
-        defect_witness = None
+        w_terms = []
         for coeff, (row, col), Lp in terms:
             w_t = witness_generator_constructive(n, minor, row, col, LEFT, _depth + 1)
             Dp = minor_element(n, MinorId(K, Lp))
@@ -535,92 +540,91 @@ def witness_generator_constructive(
                 n=n, minor=minor, element=Dp, side=LEFT, power=1,
                 cofactor=Dp.scale(LaurentQ.q_power(-eps)),
                 derivation=_node("q-commute", {"minor": MinorId(K, Lp).label(), "exponent": eps}),
-            ).certify()
-            w_term = scale_witness(compose_product(w_t, w_D, _depth=_depth + 1), coeff)
-            defect_witness = w_term if defect_witness is None else compose_sum(defect_witness, w_term)
+            )
+            w_terms.append(_scale_witness(_compose_product(w_t, w_D, _depth + 1), coeff))
         # pair: q^-1 t clears D up to the (negated) defect
-        w_neg = scale_witness(defect_witness, LaurentQ(-1))
-        out = reduce_relative(n, minor, t, (t.scale(QINV), 1), w_neg, LEFT)
-        out.derivation = _node("gap-recursion", {"k": k, "l": l}, [out.derivation])
-        out.certify()
-    elif col_in:
+        w_neg = _scale_witness(reduce(_compose_sum, w_terms), LaurentQ(-1))
+        out = _reduce_relative(n, minor, t, (t.scale(QINV), 1), w_neg, LEFT)
+        return replace(out, derivation=_node("gap-recursion", {"k": k, "l": l}, [out.derivation]))
+    if col_in:
         # row gap: transpose to a column gap for the transposed minor
-        tr_minor = MinorId(L, K)
-        left = witness_generator_constructive(n, tr_minor, l, k, LEFT, _depth + 1)
-        out = OreWitness(
-            n=n, minor=minor, element=t, side=LEFT, power=left.power,
-            cofactor=left.cofactor.transpose(),
-            scale=left.scale,
+        left = witness_generator_constructive(n, MinorId(L, K), l, k, LEFT, _depth + 1)
+        return t_witness(
+            power=left.power, cofactor=left.cofactor.transpose(), scale=left.scale,
             derivation=_node("transposed-gap", {"k": k, "l": l}, [left.derivation]),
             denominator_zeros=list(left.denominator_zeros),
-        ).certify()
-    else:
-        # outside on both indices: the commutator with D expands over words in
-        # the subalgebra generated by letters sharing a row with K or a column
-        # with L, all of which are already witnessed
-        defect = commutator(t, D)  # t D - D t
-        if defect.is_zero():
-            out = OreWitness(
-                n=n, minor=minor, element=t, side=LEFT, power=1, cofactor=t,
-                derivation=_node("central", {"k": k, "l": l, "note": "commutes outright"}),
-            ).certify()
-        else:
-            expr_terms: list[tuple[LaurentQ, tuple]] = []
-            for word, c_w in D.terms():
-                for i, g in enumerate(word):
-                    comm = commutator(t, Element.generator(n, *g))
-                    if comm.is_zero():
-                        continue
-                    ((pair_word, lam),) = comm.terms()
-                    expr_terms.append((c_w * lam, word[:i] + pair_word + word[i + 1 :]))
-            replay = Element.zero(n)
-            for c, w in expr_terms:
-                acc = Element.unit(n)
-                for g in w:
-                    acc = acc * Element.generator(n, *g)
-                replay = replay + acc.scale(c)
-            if replay != defect:
-                raise CertificateError("commutator expansion failed to replay")
-            w_defect = _witness_for_terms(n, minor, expr_terms, LEFT, _depth + 1)
-            out = reduce_relative(n, minor, t, (t, 1), w_defect, LEFT)
-            out.derivation = _node("outside", {"k": k, "l": l}, [out.derivation])
-            out.certify()
-    _GEN_WITNESS_CACHE[key] = out
-    return out
+        )
+    # outside on both indices: the commutator with D expands over words in
+    # the subalgebra generated by letters sharing a row with K or a column
+    # with L, all of which are already witnessed
+    defect = commutator(t, D)  # t D - D t
+    if defect.is_zero():
+        return t_witness(power=1, cofactor=t,
+                         derivation=_node("central", {"k": k, "l": l, "note": "commutes outright"}))
+    expr_terms: list[tuple[LaurentQ, tuple]] = []
+    for word, c_w in D.terms():
+        for i, g in enumerate(word):
+            comm = commutator(t, Element.generator(n, *g))
+            if comm.is_zero():
+                continue
+            ((pair_word, lam),) = comm.terms()
+            expr_terms.append((c_w * lam, word[:i] + pair_word + word[i + 1 :]))
+    replay = Element.zero(n)
+    for c, w in expr_terms:
+        acc = Element.unit(n)
+        for g in w:
+            acc = acc * Element.generator(n, *g)
+        replay = replay + acc.scale(c)
+    if replay != defect:
+        raise CertificateError("commutator expansion failed to replay")
+    w_defect = _witness_for_terms(n, minor, expr_terms, LEFT, _depth + 1)
+    out = _reduce_relative(n, minor, t, (t, 1), w_defect, LEFT)
+    return replace(out, derivation=_node("outside", {"k": k, "l": l}, [out.derivation]))
 
 
 def _witness_for_word(n: int, minor: MinorId, word: tuple, side: str, _depth: int) -> OreWitness:
     """Witness for a product of generators, composed right to left so that
     power extensions only ever recurse into already-cleared cofactors."""
-    D = minor_element(n, minor)
     if not word:
         return OreWitness(
             n=n, minor=minor, element=Element.unit(n), side=side, power=1,
             cofactor=Element.unit(n), derivation=_node("unit"),
-        ).certify()
+        )
     K, L = minor.rows, minor.cols
     if all(g[0] in K and g[1] in L for g in word):
         elem = Element(n, [(word, 1)])
         return OreWitness(
             n=n, minor=minor, element=elem, side=side, power=1, cofactor=elem,
             derivation=_node("central-word", {"length": len(word)}),
-        ).certify()
+        )
     acc = _witness_for_word(n, minor, word[1:], side, _depth)
     g = word[0]
     w_g = witness_generator_constructive(n, minor, g[0], g[1], side, _depth)
-    return compose_product(w_g, acc, _depth=_depth)
+    return _compose_product(w_g, acc, _depth)
 
 
 def _witness_for_terms(
     n: int, minor: MinorId, terms: Sequence[tuple[LaurentQ, tuple]], side: str, _depth: int
 ) -> OreWitness:
-    out = None
-    for coeff, word in terms:
-        w = scale_witness(_witness_for_word(n, minor, word, side, _depth), coeff)
-        out = w if out is None else compose_sum(out, w)
-    if out is None:
+    if not terms:
         raise ValueError("cannot witness an empty expression")
-    return out
+    return reduce(_compose_sum, [_scale_witness(_witness_for_word(n, minor, word, side, _depth), coeff)
+                                 for coeff, word in terms])
+
+
+def _witness_constructive(n: int, minor: MinorId, element: Element, side: str, _depth: int) -> OreWitness:
+    if _depth > 60:
+        raise RecursionError("witness composition recursion exceeded the safety bound")
+    words = element.terms()
+    if len(words) == 1 and not words[0][0]:
+        # scalar multiple of the unit
+        coeff = words[0][1]
+        return OreWitness(
+            n=n, minor=minor, element=element, side=side, power=1,
+            cofactor=Element.scalar(n, coeff),
+            derivation=_node("unit", {"coefficient": coeff.render()}),
+        )
+    return _witness_for_terms(n, minor, [(c, w) for w, c in words], side, _depth + 1)
 
 
 def witness_for_element(
@@ -630,7 +634,6 @@ def witness_for_element(
     side: str = LEFT,
     strategy: str = "constructive",
     m_max: Optional[int] = None,
-    _depth: int = 0,
 ) -> OreWitness:
     """Witness for an arbitrary nonzero element.
 
@@ -643,40 +646,25 @@ def witness_for_element(
         raise ValueError("cannot witness the zero element")
     if element.n != n:
         raise ValueError("element size does not match n")
-    if _depth > 60:
-        raise RecursionError("witness composition recursion exceeded the safety bound")
     if strategy == "solver":
         return solve_witness(n, minor, element, side, m_max)
     if strategy == "both":
         ws = solve_witness(n, minor, element, side, m_max)
         wc = witness_for_element(n, minor, element, side, "constructive")
-        if not (ws.certified and wc.certified):
-            raise CertificateError("cross-validation failed")
-        ws.derivation = _node(
+        return replace(ws, derivation=_node(
             "cross-validated",
             {"constructive_power": wc.power, "solver_power": ws.power},
             [ws.derivation, wc.derivation],
-        )
-        return ws
+        ))
     if strategy != "constructive":
         raise ValueError(f"unknown strategy {strategy!r}")
-    words = element.terms()
-    if len(words) == 1 and not words[0][0]:
-        # scalar multiple of the unit
-        coeff = words[0][1]
-        return OreWitness(
-            n=n, minor=minor, element=element, side=side, power=1,
-            cofactor=Element.scalar(n, coeff),
-            derivation=_node("unit", {"coefficient": coeff.render()}),
-        ).certify()
-    out = _witness_for_terms(n, minor, [(c, w) for w, c in words], side, _depth + 1)
-    return out
+    return _witness_constructive(n, minor, element, side, 0).certify()
 
 
 # -- multi-minor chains --------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class ChainWitness:
     """A chained clearance against an ordered product of minors.
 
@@ -713,8 +701,7 @@ class ChainWitness:
         res = self.residual()
         if not res.is_zero():
             raise CertificateError(f"chain witness residual is nonzero: {res.render()}")
-        self.certified = True
-        return self
+        return replace(self, certified=True)
 
     def to_json(self) -> dict:
         return {
@@ -804,8 +791,17 @@ def witness_from_json(data: dict) -> OreWitness:
 
 
 def verify_witness_file(path: str) -> OreWitness:
-    """Re-check a witness file bit-exactly; raises CertificateError on failure."""
+    """Re-check a witness file bit-exactly; raises CertificateError on failure,
+    and ValueError on a malformed or vacuous file, before any replay."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    w = witness_from_json(data)
+    try:
+        w = witness_from_json(data)
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(f"malformed witness file: missing or mistyped {exc}") from None
+    _check_side(w.side)
+    if w.power < 1 or w.target_power < 1:
+        raise ValueError(f"witness powers must be at least 1, got {w.power} and {w.target_power}")
+    if w.scale.is_zero() or w.element.is_zero():
+        raise ValueError("vacuous witness: the scale or the element is zero")
     return w.certify()

@@ -73,6 +73,17 @@ class TestMinorVerb:
         code, _, err = run(capsys, "minor", "--n", "2", "--rows", "1,2", "--cols", "1,3")
         assert code == EXIT_PRECONDITION
 
+    @pytest.mark.parametrize("argv", [
+        ("nf", "--n", "0", "1"),
+        ("minor", "--n", "-1", "--rows", "1", "--cols", "1"),
+        ("suite", "--n", "0"),
+    ], ids=["nf", "minor", "suite"])
+    def test_nonpositive_n_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == EXIT_USAGE
+        assert "positive integer" in capsys.readouterr().err
+
 
 class TestCommutatorVerb:
     def test_example(self, capsys):
@@ -158,17 +169,29 @@ class TestOreVerb:
         )
         assert code == EXIT_UNSAT
 
-    def test_tampered_witness_exit(self, capsys, tmp_path):
+    @pytest.mark.parametrize("changes, expected", [
+        ({"power": 1}, EXIT_CHECK_FAILED),
+        ({"side": "sideways"}, EXIT_PRECONDITION),
+        ({"power": -1}, EXIT_PRECONDITION),
+        ({"power": 0, "target_power": 0}, EXIT_PRECONDITION),
+        ({"target_power": 0}, EXIT_PRECONDITION),
+        ({"scale": "0", "cofactor": "0"}, EXIT_PRECONDITION),
+        ({"element": "0", "cofactor": "0"}, EXIT_PRECONDITION),
+        ({"cofactor": None}, EXIT_PRECONDITION),  # None removes the key
+    ], ids=["wrong-power", "unknown-side", "negative-power", "zero-powers", "zero-target-power",
+            "zero-scale", "zero-element", "missing-key"])
+    def test_tampered_witness_exit(self, capsys, tmp_path, changes, expected):
         path = tmp_path / "w.json"
         run(
             capsys, "ore", "--n", "2", "--minor-rows", "2", "--minor-cols", "2",
             "--elem", "t[1,1]", "--out", str(path),
         )
         data = json.loads(path.read_text())
-        data["power"] = 1
-        path.write_text(json.dumps(data))
-        code, _, err = run(capsys, "verify-witness", str(path))
-        assert code == EXIT_CHECK_FAILED
+        data.update(changes)
+        path.write_text(json.dumps({k: v for k, v in data.items() if v is not None}))
+        code, out, err = run(capsys, "verify-witness", str(path))
+        assert code == expected
+        assert out == "" and err.startswith("qmb: ") and err.count("\n") == 1
 
     def test_chain_output(self, capsys, tmp_path):
         path = tmp_path / "chain.json"

@@ -1,12 +1,14 @@
 """Witness solver, constructive engine, composition calculus, chains, files."""
 
+import dataclasses
 import json
 import random
 from itertools import combinations
 
 import pytest
 
-from qmb.algebra import Element, MultiDegree
+from qmb import algebra, clear_caches, minors, ore
+from qmb.algebra import Element, MultiDegree, basis_monomials
 from qmb.exprparse import parse_element
 from qmb.minors import MinorId, minor_element, quantum_minor
 from qmb.ore import (
@@ -17,7 +19,6 @@ from qmb.ore import (
     UnsatWithinBound,
     compose_product,
     compose_sum,
-    enumerate_basis,
     extend_to_power,
     multi_minor_witness,
     reduce_relative,
@@ -42,12 +43,12 @@ MFULL2 = MinorId((1, 2), (1, 2))   # the central determinant at n = 2
 
 class TestEnumerateBasis:
     def test_examples(self):
-        assert enumerate_basis(2, MultiDegree((1, 1), (1, 1))) == [
+        assert basis_monomials(2, (1, 1), (1, 1)) == [
             ((1, 1), (2, 2)),
             ((1, 2), (2, 1)),
         ]
-        assert enumerate_basis(2, MultiDegree((1, 0), (0, 1))) == [((1, 2),)]
-        assert len(enumerate_basis(3, MultiDegree((1, 1, 1), (1, 1, 1)))) == 6
+        assert basis_monomials(2, (1, 0), (0, 1)) == [((1, 2),)]
+        assert len(basis_monomials(3, (1, 1, 1), (1, 1, 1))) == 6
 
     def test_unbalanced_rejected(self):
         with pytest.raises(ValueError):
@@ -249,6 +250,66 @@ class TestCompositions:
         w = witness_generator_constructive(2, MFULL2, 1, 1, LEFT)
         with pytest.raises(ValueError):
             extend_to_power(w, 0)
+
+
+class TestCertifyOnce:
+    """Each public witness function replays its result once, at its return."""
+
+    @pytest.fixture
+    def residual_calls(self, monkeypatch):
+        calls = []
+        replay = OreWitness.residual
+
+        def counted(w):
+            calls.append(w)
+            return replay(w)
+
+        monkeypatch.setattr(OreWitness, "residual", counted)
+        return calls
+
+    def test_cold_generator_witness_replays_once_per_cache_entry(self, residual_calls):
+        clear_caches()
+        w = witness_generator_constructive(3, MinorId((1, 3), (1, 3)), 2, 2, RIGHT)
+        assert w.derivation["rule"] == "mirror"
+        assert len(residual_calls) == len(ore._GEN_WITNESS_CACHE) > 2
+
+    def test_warm_compositions_replay_once(self, residual_calls):
+        g = {(i, j, side): witness_generator_constructive(2, M22, i, j, side)
+             for i in (1, 2) for j in (1, 2) for side in (LEFT, RIGHT)}
+        for compose in (
+            lambda: compose_product(g[1, 1, LEFT], g[1, 1, LEFT]),
+            lambda: compose_product(g[2, 1, RIGHT], g[1, 1, RIGHT]),
+            lambda: compose_sum(g[1, 1, LEFT], g[1, 2, LEFT]),
+            lambda: extend_to_power(g[1, 1, LEFT], 2),
+            lambda: extend_to_power(g[1, 2, RIGHT], 3),
+        ):
+            residual_calls.clear()
+            assert compose().certified
+            assert len(residual_calls) == 1
+
+    def test_returned_witnesses_are_frozen(self):
+        minor = MinorId((1, 2), (1, 3))
+        w = witness_generator_constructive(3, minor, 1, 2, LEFT)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            w.cofactor = Element.zero(3)
+        again = witness_generator_constructive(3, minor, 1, 2, LEFT)
+        assert again == w and again.certified and again.residual().is_zero()
+        chain = multi_minor_witness(2, [M22], gen(2, 1, 1), LEFT)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            chain.powers = [1]
+
+
+def test_clear_caches_empties_every_cache():
+    def sizes():
+        return [len(algebra._APPEND_CACHE), len(algebra._WORD_MUL_CACHE),
+                minors._minor_columns_cached.cache_info().currsize,
+                ore._minor_power.cache_info().currsize, len(ore._GEN_WITNESS_CACHE)]
+
+    clear_caches()
+    witness_generator_constructive(3, MinorId((1, 2), (1, 3)), 1, 2, LEFT)
+    assert all(sizes())
+    clear_caches()
+    assert sizes() == [0, 0, 0, 0, 0]
 
 
 class TestWitnessForElement:
