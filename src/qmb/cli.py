@@ -32,7 +32,6 @@ from .ore import (
     CertificateError,
     UnsatWithinBound,
     multi_minor_witness,
-    solve_witness,
     verify_witness_file,
     witness_for_element,
 )
@@ -156,11 +155,7 @@ def _cmd_ore(args) -> int:
     side = LEFT if args.side == "left" else RIGHT
     minors = [MinorId(r, c) for r, c in zip(args.minor_rows, args.minor_cols)]
     if len(minors) == 1:
-        if args.strategy == "solver":
-            w = solve_witness(args.n, minors[0], elem, side, m_max=args.max_power)
-        else:
-            w = witness_for_element(args.n, minors[0], elem, side, args.strategy,
-                                    m_max=args.max_power)
+        w = witness_for_element(args.n, minors[0], elem, side, args.strategy, m_max=args.max_power)
         data = w.to_json()
     else:
         chain = multi_minor_witness(args.n, minors, elem, side, strategy=args.strategy)

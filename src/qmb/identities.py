@@ -104,19 +104,13 @@ def check_qcommutation(n: int, K: Sequence[int], L: Sequence[int], k: int, l: in
         return CheckResult("q-commutation", cfg, NOT_APPLICABLE)
     D = quantum_minor(n, K, L)
     t = Element.generator(n, k, l)
+    e = qcommutation_probe(t, D)
+    conv = {"geometry": geometry, "exponent": e}
+    if e in (1, -1):
+        return CheckResult("q-commutation", cfg, VERIFIED, Element.zero(n), conv)
     expected = -1 if geometry.endswith("above") else 1
-    for e in (expected, -expected):
-        residual = t * D - (LaurentQ.q_power(e) * (D * t))
-        if residual.is_zero():
-            return CheckResult(
-                "q-commutation", cfg, VERIFIED, residual,
-                {"geometry": geometry, "exponent": e},
-            )
     residual = t * D - (LaurentQ.q_power(expected) * (D * t))
-    return CheckResult(
-        "q-commutation", cfg, FAILED, residual,
-        {"geometry": geometry, "exponent": qcommutation_probe(t, D)},
-    )
+    return CheckResult("q-commutation", cfg, FAILED, residual, conv)
 
 
 def check_muir(n: int, K: Sequence[int], L: Sequence[int], Lprime: Sequence[int]) -> CheckResult:
@@ -152,19 +146,26 @@ def _gap_lhs(n, K, L, k, l) -> Element:
     return D * t - (QINV * (t * D))
 
 
-def _gap_rhs(n, K, L, k, l, r, row_reading: str, column_reading: str) -> Element:
-    out = Element.zero(n)
+def _gap_terms(K, L, k, l, r, row_reading: str, column_reading: str) -> list:
+    """The general-gap expansion under one reading: ``(coeff, (row, col), columns)``
+    for each correction term ``coeff * t[row,col] * D^K_columns``."""
     row = k if row_reading == "same-row" else max(K)
+    terms = []
     for u in range(1, r + 1):
         lu = L[u - 1]
         weight = LaurentQ({(u - r): (-1) ** (u - r)})  # (-q)^(u-r)
         if column_reading == "sorted":
-            Dp = quantum_minor(n, K, tuple(sorted((set(L) - {lu}) | {l})))
+            columns = tuple(sorted((set(L) - {lu}) | {l}))
         else:
-            lst = list(L)
-            lst[u - 1] = l
-            Dp = quantum_minor_columns(n, K, tuple(lst))
-        out = out + (Element.generator(n, row, lu) * Dp).scale(weight * _GAP_COEFF)
+            columns = L[: u - 1] + (l,) + L[u:]
+        terms.append((weight * _GAP_COEFF, (row, lu), columns))
+    return terms
+
+
+def _gap_rhs(n, K, L, k, l, r, **reading) -> Element:
+    out = Element.zero(n)
+    for coeff, (row, col), columns in _gap_terms(K, L, k, l, r, **reading):
+        out = out + (Element.generator(n, row, col) * quantum_minor_columns(n, K, columns)).scale(coeff)
     return out
 
 
@@ -212,10 +213,7 @@ def check_gap_r(n: int, K: Sequence[int], L: Sequence[int], k: int, l: int, r: i
     """
     K, L = tuple(K), tuple(sorted(L))
     cfg = _cfg(n, K, L, k=k, l=l, r=r)
-    s = len(L)
-    if k not in K or l in L or not (1 <= r < s):
-        return CheckResult("gap-r", cfg, NOT_APPLICABLE)
-    if not (L[r - 1] < l < L[r]):
+    if k not in K or l in L or not (1 <= r < len(L)) or not (L[r - 1] < l < L[r]):
         return CheckResult("gap-r", cfg, NOT_APPLICABLE)
     lhs = _gap_lhs(n, K, L, k, l)
     for reading in GAP_READINGS:
@@ -229,28 +227,17 @@ def check_gap_r(n: int, K: Sequence[int], L: Sequence[int], k: int, l: int, r: i
 def gap_correction_terms(n: int, K: tuple, L: tuple, k: int, l: int) -> list[tuple[LaurentQ, tuple[int, int], tuple]]:
     """The verified expansion of ``D t - q^-1 t D`` for the gap configuration.
 
-    Returns ``[(coeff, (row, col), replaced_column_set), ...]`` such that the
-    sum of ``coeff * t[row,col] * D^K_{set}`` equals the commutation defect
-    exactly; the equality is re-checked before returning.  Used by the
-    constructive witness engine.
+    Returns ``[(coeff, (row, col), replaced_column_set), ...]``: the terms of
+    the reading that :func:`check_gap_r` verifies (same row, sorted column
+    sets), whose sum of ``coeff * t[row,col] * D^K_{set}`` is the commutation
+    defect.  The terms are not re-checked here.  The constructive witness
+    engine consumes them in ``qmb.ore._reduce_relative``, which compares the
+    defect of the pair ``(q^-1 t, 1)`` with the negated sum exactly (and
+    raises ValueError on a mismatch), and the returned witness is replayed.
     """
     L = tuple(sorted(L))
     r = sum(1 for x in L if x < l)
-    terms = []
-    for u in range(1, r + 1):
-        lu = L[u - 1]
-        weight = LaurentQ({(u - r): (-1) ** (u - r)}) * _GAP_COEFF
-        Lp = tuple(sorted((set(L) - {lu}) | {l}))
-        terms.append((weight, (k, lu), Lp))
-    lhs = _gap_lhs(n, K, L, k, l)
-    rhs = Element.zero(n)
-    for coeff, (row, col), Lp in terms:
-        rhs = rhs + (Element.generator(n, row, col) * quantum_minor(n, K, Lp)).scale(coeff)
-    if lhs != rhs:
-        raise AssertionError(
-            f"gap expansion failed for n={n} K={K} L={L} k={k} l={l}; residual {(lhs - rhs).render()}"
-        )
-    return terms
+    return _gap_terms(K, L, k, l, r, **GAP_READINGS[0])
 
 
 # -- subalgebra membership (outside-generator commutators) ----------------------
@@ -395,13 +382,11 @@ def _minor_shapes(n_max: int, size_cap: Optional[int]):
                     yield n, K, L
 
 
-def run_suite(
-    n_max: int = 4,
-    size_cap: Optional[int] = 3,
-    include_membership: bool = True,
-    membership_n_max: int = 3,
-    membership_word_len: int = 2,
-) -> SuiteReport:
+MEMBERSHIP_N_MAX = 3
+MEMBERSHIP_WORD_LEN = 2
+
+
+def run_suite(n_max: int = 4, size_cap: Optional[int] = 3, include_membership: bool = True) -> SuiteReport:
     """Exhaustive sweep of every applicable identity configuration within caps.
 
     Sweeps proper minors (size below n); the full-size central minor is a
@@ -414,52 +399,28 @@ def run_suite(
             "n_max": n_max,
             "size_cap": size_cap,
             "include_membership": include_membership,
-            "membership_n_max": membership_n_max,
-            "membership_word_len": membership_word_len,
+            "membership_n_max": MEMBERSHIP_N_MAX,
+            "membership_word_len": MEMBERSHIP_WORD_LEN,
         }
     )
     results = report.results
-    conv_qc: dict[str, set] = {}
-    conv_muir: dict[str, set] = {}
-    conv_gap1: set = set()
-    conv_gapr: set = set()
-
     for n, K, L in _minor_shapes(n_max, size_cap):
         for k in range(1, n + 1):
             for l in range(1, n + 1):
-                if k in K and l in L:
-                    results.append(check_centrality(n, K, L, k, l))
-                elif _qcomm_geometry(K, L, k, l) is not None:
-                    res = check_qcommutation(n, K, L, k, l)
-                    results.append(res)
-                    if res.convention and res.convention.get("exponent") is not None:
-                        conv_qc.setdefault(res.convention["geometry"], set()).add(res.convention["exponent"])
-                elif k in K and l not in L:
-                    s = len(L)
-                    r = sum(1 for x in L if x < l)
-                    if 1 <= r < s:
-                        res = check_gap_r(n, K, L, k, l, r)
+                # the guards of the generator checks decide which apply
+                r = sum(1 for x in L if x < l)
+                for res in (check_centrality(n, K, L, k, l), check_qcommutation(n, K, L, k, l),
+                            check_gap_r(n, K, L, k, l, r), check_gap_one(n, K, L, k, l)):
+                    if res.status != NOT_APPLICABLE:
                         results.append(res)
-                        if res.status == VERIFIED:
-                            conv_gapr.add((res.convention["row_reading"], res.convention["column_reading"]))
-                        if r == 1:
-                            res1 = check_gap_one(n, K, L, k, l)
-                            results.append(res1)
-                            if res1.status == VERIFIED:
-                                conv_gap1.add(res1.convention["factor_order"])
         # minors differing in one column label
         for a in L:
             for b in range(1, n + 1):
-                if b in L:
-                    continue
-                Lp = tuple(sorted((set(L) - {a}) | {b}))
-                res = check_muir(n, K, L, Lp)
-                results.append(res)
-                if res.convention and res.convention.get("exponent") is not None:
-                    conv_muir.setdefault(res.convention["geometry"], set()).add(res.convention["exponent"])
+                if b not in L:
+                    results.append(check_muir(n, K, L, sorted((set(L) - {a}) | {b})))
 
     if include_membership:
-        for n, K, L in _minor_shapes(min(n_max, membership_n_max), size_cap):
+        for n, K, L in _minor_shapes(min(n_max, MEMBERSHIP_N_MAX), size_cap):
             inner = [(i, j) for i in K for j in L]
             outside = [
                 (i, j)
@@ -468,19 +429,31 @@ def run_suite(
                 if i not in K and j not in L
             ]
             words: list[tuple] = [()]
-            for length in range(1, membership_word_len + 1):
+            for length in range(1, MEMBERSHIP_WORD_LEN + 1):
                 words.extend(product(inner, repeat=length))
             for op in outside:
                 for w in words:
                     results.append(check_E0_membership(n, K, L, op, [(ONE, w)]))
 
+    exponents: dict[str, dict[str, set]] = {"q-commutation": {}, "muir": {}}
+    gap_one: set = set()
+    gap_r: set = set()
+    for res in results:
+        c = res.convention
+        if res.identity in exponents and c["exponent"] is not None:
+            exponents[res.identity].setdefault(c["geometry"], set()).add(c["exponent"])
+        elif res.identity == "gap-r" and res.status == VERIFIED:
+            gap_r.add((c["row_reading"], c["column_reading"]))
+        elif res.identity == "gap-one" and res.status == VERIFIED:
+            gap_one.add(c["factor_order"])
+
     def collapse(d: dict[str, set]) -> dict:
         return {k: (sorted(v)[0] if len(v) == 1 else sorted(v)) for k, v in sorted(d.items())}
 
     report.conventions = {
-        "q-commutation": collapse(conv_qc),
-        "muir": collapse(conv_muir),
-        "gap-one-factor-order": sorted(conv_gap1),
-        "gap-r-reading": sorted(map(list, conv_gapr)),
+        "q-commutation": collapse(exponents["q-commutation"]),
+        "muir": collapse(exponents["muir"]),
+        "gap-one-factor-order": sorted(gap_one),
+        "gap-r-reading": sorted(map(list, gap_r)),
     }
     return report

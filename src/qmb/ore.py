@@ -6,6 +6,10 @@ against the set generated by a minor ``D``:
 * left form:   ``scale * D^power * e  ==  cofactor * D^target_power``
 * right form:  ``scale * e * D^power  ==  D^target_power * cofactor``
 
+The right form is the left form in the opposite algebra (every product
+read in reverse order), so one body of code serves both forms and
+:func:`_times` alone says which order a product takes.
+
 ``scale`` is a central Laurent scalar (the product of cleared denominators;
 ``1`` in every constructive witness), and ``target_power`` is 1 except for
 intermediate witnesses produced by :func:`extend_to_power`.  Every public
@@ -29,11 +33,12 @@ from dataclasses import dataclass, field, replace
 from functools import lru_cache, partial, reduce
 from typing import Optional, Sequence
 
-from .algebra import Element, basis_monomials, commutator
+from .algebra import Element, _check_cap, basis_monomials, commutator
+from .exprparse import ExprSyntaxError, parse_element
 from .identities import gap_correction_terms
 from .linalg import clear_denominators, solve_linear
 from .minors import MinorId, minor_element, qcommutation_probe
-from .scalars import ONE, QINV, LaurentQ
+from .scalars import ONE, QINV, LaurentQ, parse_laurent
 
 LEFT = "left-form"
 RIGHT = "right-form"
@@ -52,16 +57,19 @@ class UnsatWithinBound(RuntimeError):
         self.infeasible = infeasible
 
 
+def _times(side: str, a: Element, b: Element) -> Element:
+    """``a * b`` in the left form, ``b * a`` in the right form."""
+    return a * b if side == LEFT else b * a
+
+
 @lru_cache(maxsize=1024)
-def _minor_power(n: int, rows: tuple, cols: tuple, k: int) -> Element:
-    """Cached powers of a minor; witness certification reuses them heavily."""
+def _minor_power(n: int, minor: MinorId, k: int) -> Element:
+    """Cached powers of a minor; witness certification reuses them heavily.
+    A power past the degree cap is refused before any recursion."""
+    _check_cap(k * minor.size())
     if k == 0:
         return Element.unit(n)
-    return _minor_power(n, rows, cols, k - 1) * minor_element(n, MinorId(rows, cols))
-
-
-def minor_power(n: int, minor: MinorId, k: int) -> Element:
-    return _minor_power(n, minor.rows, minor.cols, k)
+    return _minor_power(n, minor, k - 1) * minor_element(n, minor)
 
 
 @dataclass(frozen=True)
@@ -80,15 +88,9 @@ class OreWitness:
     certified: bool = False
 
     def residual(self) -> Element:
-        Dp = minor_power(self.n, self.minor, self.power)
-        Dt = minor_power(self.n, self.minor, self.target_power)
-        if self.side == LEFT:
-            lhs = (Dp * self.element).scale(self.scale)
-            rhs = self.cofactor * Dt
-        else:
-            lhs = (self.element * Dp).scale(self.scale)
-            rhs = Dt * self.cofactor
-        return lhs - rhs
+        Dp = _minor_power(self.n, self.minor, self.power)
+        Dt = _minor_power(self.n, self.minor, self.target_power)
+        return _times(self.side, Dp, self.element).scale(self.scale) - _times(self.side, self.cofactor, Dt)
 
     def certify(self) -> "OreWitness":
         """A copy marked certified once the equation replays to zero."""
@@ -139,11 +141,7 @@ def _solve_at_power(n: int, minor: MinorId, element: Element, side: str, m: int)
     """Try to solve for a cofactor at a fixed power; None when infeasible."""
     D = minor_element(n, minor)
     d_deg = D.multidegree()
-    Dm = minor_power(n, minor, m)
-    if side == LEFT:
-        target = Dm * element
-    else:
-        target = element * Dm
+    target = _times(side, _minor_power(n, minor, m), element)
     t_deg = target.multidegree()
     x_deg = t_deg.minus(d_deg)
     if x_deg is None:
@@ -152,8 +150,7 @@ def _solve_at_power(n: int, minor: MinorId, element: Element, side: str, m: int)
     columns = []
     support: dict = {}
     for b in basis:
-        be = Element(n, [(b, 1)])
-        col = be * D if side == LEFT else D * be
+        col = _times(side, Element(n, [(b, 1)]), D)
         columns.append(col)
         for w, _ in col.terms():
             support.setdefault(w, len(support))
@@ -207,7 +204,6 @@ def solve_witness(
     element: Element,
     side: str = LEFT,
     m_max: Optional[int] = None,
-    strategy_label: str = "solver",
 ) -> OreWitness:
     """Minimal-power witness by exact linear solving in the forced component.
 
@@ -228,13 +224,11 @@ def solve_witness(
         split = _node("split", {"components": len(comps)}, [w.derivation for w in witnesses])
         out = replace(reduce(_compose_sum, witnesses), derivation=split)
     else:
-        out = _solve_homogeneous(n, minor, element, side, m_max, strategy_label)
+        out = _solve_homogeneous(n, minor, element, side, m_max)
     return out.certify()
 
 
-def _solve_homogeneous(
-    n: int, minor: MinorId, element: Element, side: str, m_max: int, strategy_label: str = "solver"
-) -> OreWitness:
+def _solve_homogeneous(n: int, minor: MinorId, element: Element, side: str, m_max: int) -> OreWitness:
     infeasible: list[dict] = []
     for m in range(1, m_max + 1):
         solved, record = _solve_at_power(n, minor, element, side, m)
@@ -250,7 +244,7 @@ def _solve_homogeneous(
             power=m,
             cofactor=cofactor,
             scale=scale,
-            derivation=_node(strategy_label, {"power": m, "infeasible_below": len(infeasible)}),
+            derivation=_node("solver", {"power": m, "infeasible_below": len(infeasible)}),
             denominator_zeros=_factor_scale(scale),
             infeasible=infeasible,
         )
@@ -296,7 +290,7 @@ def scale_witness(w: OreWitness, factor: LaurentQ) -> OreWitness:
     return _scale_witness(w, factor).certify()
 
 
-def _extend_to_power(w: OreWitness, j: int, _depth: int) -> OreWitness:
+def _extend_to_power(w: OreWitness, j: int) -> OreWitness:
     if j < 1:
         raise ValueError("target power must be positive")
     if w.target_power != 1:
@@ -308,7 +302,7 @@ def _extend_to_power(w: OreWitness, j: int, _depth: int) -> OreWitness:
     children = [w.derivation]
     zeros = list(w.denominator_zeros)
     for p in range(1, j):
-        wr = _witness_constructive(n, minor, R, side, _depth + 1)
+        wr = _witness_constructive(n, minor, R, side)
         children.append(wr.derivation)
         zeros.extend(wr.denominator_zeros)
         P += wr.power
@@ -317,8 +311,7 @@ def _extend_to_power(w: OreWitness, j: int, _depth: int) -> OreWitness:
     M = -(-P // j)  # ceil
     pad = j * M - P
     if pad:
-        Dpad = minor_power(n, minor, pad)
-        R = Dpad * R if side == LEFT else R * Dpad
+        R = _times(side, _minor_power(n, minor, pad), R)
     return OreWitness(
         n=n,
         minor=minor,
@@ -340,38 +333,32 @@ def extend_to_power(w: OreWitness, j: int) -> OreWitness:
     cleared power by one each step, then pads on the left so the total power
     is a multiple of ``j``.  ``j == 1`` returns ``w`` itself.
     """
-    out = _extend_to_power(w, j, 0)
+    out = _extend_to_power(w, j)
     return w if out is w else out.certify()
 
 
-def _compose_product(w1: OreWitness, w2: OreWitness, _depth: int) -> OreWitness:
+def _compose_product(w1: OreWitness, w2: OreWitness) -> OreWitness:
     _require_compatible(w1, w2)
     n, minor, side = w1.n, w1.minor, w1.side
     element = w1.element * w2.element
     if element.is_zero():
         raise ValueError("product of witnessed elements is zero")
+    # the side picks the factor whose witness is re-derived against the power
+    # the other one consumes; the cofactors then chain in factor order
     if side == LEFT:
-        ext = _extend_to_power(w1, w2.power, _depth)
-        cofactor = ext.cofactor * w2.cofactor
-        power, scale = ext.power, ext.scale * w2.scale
-        children = [ext.derivation, w2.derivation]
-        zeros = ext.denominator_zeros + w2.denominator_zeros
+        ext = w1 = _extend_to_power(w1, w2.power)
     else:
-        ext = _extend_to_power(w2, w1.power, _depth)
-        cofactor = w1.cofactor * ext.cofactor
-        power, scale = ext.power, w1.scale * ext.scale
-        children = [w1.derivation, ext.derivation]
-        zeros = w1.denominator_zeros + ext.denominator_zeros
+        ext = w2 = _extend_to_power(w2, w1.power)
     return OreWitness(
         n=n,
         minor=minor,
         element=element,
         side=side,
-        power=power,
-        cofactor=cofactor,
-        scale=scale,
-        derivation=_node("product", None, children),
-        denominator_zeros=zeros,
+        power=ext.power,
+        cofactor=w1.cofactor * w2.cofactor,
+        scale=w1.scale * w2.scale,
+        derivation=_node("product", None, [w1.derivation, w2.derivation]),
+        denominator_zeros=w1.denominator_zeros + w2.denominator_zeros,
     )
 
 
@@ -382,7 +369,7 @@ def compose_product(w1: OreWitness, w2: OreWitness) -> OreWitness:
     witness consumes, then the two clearances chain: left form clears the
     right factor first, right form the left factor.
     """
-    return _compose_product(w1, w2, 0).certify()
+    return _compose_product(w1, w2).certify()
 
 
 def _compose_sum(w1: OreWitness, w2: OreWitness) -> OreWitness:
@@ -392,12 +379,9 @@ def _compose_sum(w1: OreWitness, w2: OreWitness) -> OreWitness:
     if element.is_zero():
         raise ValueError("sum of witnessed elements is zero")
     M = max(w1.power, w2.power)
-    pad1 = minor_power(n, minor, M - w1.power)
-    pad2 = minor_power(n, minor, M - w2.power)
-    if side == LEFT:
-        cofactor = (pad1 * w1.cofactor).scale(w2.scale) + (pad2 * w2.cofactor).scale(w1.scale)
-    else:
-        cofactor = (w1.cofactor * pad1).scale(w2.scale) + (w2.cofactor * pad2).scale(w1.scale)
+    pad1 = _minor_power(n, minor, M - w1.power)
+    pad2 = _minor_power(n, minor, M - w2.power)
+    cofactor = _times(side, pad1, w1.cofactor).scale(w2.scale) + _times(side, pad2, w2.cofactor).scale(w1.scale)
     return OreWitness(
         n=n,
         minor=minor,
@@ -427,7 +411,7 @@ def _reduce_relative(
         raise ValueError("defect witness must be a plain witness")
     r0, m0 = pair
     D = minor_element(n, minor)
-    Dm0 = minor_power(n, minor, m0)
+    Dm0 = _minor_power(n, minor, m0)
     if side == LEFT:
         defect = r0 * D - Dm0 * element
     else:
@@ -443,7 +427,7 @@ def _reduce_relative(
             "relative pair mismatch: the pair's defect does not equal the witnessed element"
         )
     se, me, re_ = e_witness.scale, e_witness.power, e_witness.cofactor
-    Dme = minor_power(n, minor, me)
+    Dme = _minor_power(n, minor, me)
     if side == LEFT:
         cofactor = (Dme * r0).scale(se) - re_
     else:
@@ -480,23 +464,19 @@ def reduce_relative(
 _GEN_WITNESS_CACHE: dict[tuple, OreWitness] = {}
 
 
-def witness_generator_constructive(
-    n: int, minor: MinorId, k: int, l: int, side: str = LEFT, _depth: int = 0
-) -> OreWitness:
+def witness_generator_constructive(n: int, minor: MinorId, k: int, l: int, side: str = LEFT) -> OreWitness:
     """Certified witness for the generator ``t[k,l]``, by case analysis on the
     position of ``(k, l)`` relative to the minor's index sets; no generic
     linear solving anywhere on this path.  Certified once, on entering the cache."""
     _check_side(side)
-    if _depth > 50:
-        raise RecursionError("constructive witness recursion exceeded the safety bound")
     key = (n, minor.rows, minor.cols, k, l, side)
     out = _GEN_WITNESS_CACHE.get(key)
     if out is None:
-        out = _GEN_WITNESS_CACHE[key] = _generator_witness(n, minor, k, l, side, _depth).certify()
+        out = _GEN_WITNESS_CACHE[key] = _generator_witness(n, minor, k, l, side).certify()
     return out
 
 
-def _generator_witness(n: int, minor: MinorId, k: int, l: int, side: str, _depth: int) -> OreWitness:
+def _generator_witness(n: int, minor: MinorId, k: int, l: int, side: str) -> OreWitness:
     t = Element.generator(n, k, l)
     t_witness = partial(OreWitness, n=n, minor=minor, element=t, side=side)
     if side == RIGHT:
@@ -504,7 +484,7 @@ def _generator_witness(n: int, minor: MinorId, k: int, l: int, side: str, _depth
         # into left clearances for the reflected minor
         w0 = lambda s: tuple(sorted(n + 1 - x for x in s))  # noqa: E731
         mirror_minor = MinorId(w0(minor.cols), w0(minor.rows))
-        left = witness_generator_constructive(n, mirror_minor, n + 1 - l, n + 1 - k, LEFT, _depth)
+        left = witness_generator_constructive(n, mirror_minor, n + 1 - l, n + 1 - k, LEFT)
         return t_witness(
             power=left.power, cofactor=left.cofactor.antitranspose(), scale=left.scale,
             derivation=_node("mirror", {"map": "t[i,j] -> t[n+1-j,n+1-i]"}, [left.derivation]),
@@ -531,7 +511,7 @@ def _generator_witness(n: int, minor: MinorId, k: int, l: int, side: str, _depth
         terms = gap_correction_terms(n, K, L, k, l)
         w_terms = []
         for coeff, (row, col), Lp in terms:
-            w_t = witness_generator_constructive(n, minor, row, col, LEFT, _depth + 1)
+            w_t = witness_generator_constructive(n, minor, row, col, LEFT)
             Dp = minor_element(n, MinorId(K, Lp))
             eps = qcommutation_probe(Dp, D)
             if eps is None:
@@ -541,14 +521,14 @@ def _generator_witness(n: int, minor: MinorId, k: int, l: int, side: str, _depth
                 cofactor=Dp.scale(LaurentQ.q_power(-eps)),
                 derivation=_node("q-commute", {"minor": MinorId(K, Lp).label(), "exponent": eps}),
             )
-            w_terms.append(_scale_witness(_compose_product(w_t, w_D, _depth + 1), coeff))
+            w_terms.append(_scale_witness(_compose_product(w_t, w_D), coeff))
         # pair: q^-1 t clears D up to the (negated) defect
         w_neg = _scale_witness(reduce(_compose_sum, w_terms), LaurentQ(-1))
         out = _reduce_relative(n, minor, t, (t.scale(QINV), 1), w_neg, LEFT)
         return replace(out, derivation=_node("gap-recursion", {"k": k, "l": l}, [out.derivation]))
     if col_in:
         # row gap: transpose to a column gap for the transposed minor
-        left = witness_generator_constructive(n, MinorId(L, K), l, k, LEFT, _depth + 1)
+        left = witness_generator_constructive(n, MinorId(L, K), l, k, LEFT)
         return t_witness(
             power=left.power, cofactor=left.cofactor.transpose(), scale=left.scale,
             derivation=_node("transposed-gap", {"k": k, "l": l}, [left.derivation]),
@@ -569,20 +549,13 @@ def _generator_witness(n: int, minor: MinorId, k: int, l: int, side: str, _depth
                 continue
             ((pair_word, lam),) = comm.terms()
             expr_terms.append((c_w * lam, word[:i] + pair_word + word[i + 1 :]))
-    replay = Element.zero(n)
-    for c, w in expr_terms:
-        acc = Element.unit(n)
-        for g in w:
-            acc = acc * Element.generator(n, *g)
-        replay = replay + acc.scale(c)
-    if replay != defect:
-        raise CertificateError("commutator expansion failed to replay")
-    w_defect = _witness_for_terms(n, minor, expr_terms, LEFT, _depth + 1)
+    # _reduce_relative compares the expansion with the defect exactly
+    w_defect = _witness_for_terms(n, minor, expr_terms, LEFT)
     out = _reduce_relative(n, minor, t, (t, 1), w_defect, LEFT)
     return replace(out, derivation=_node("outside", {"k": k, "l": l}, [out.derivation]))
 
 
-def _witness_for_word(n: int, minor: MinorId, word: tuple, side: str, _depth: int) -> OreWitness:
+def _witness_for_word(n: int, minor: MinorId, word: tuple, side: str) -> OreWitness:
     """Witness for a product of generators, composed right to left so that
     power extensions only ever recurse into already-cleared cofactors."""
     if not word:
@@ -597,24 +570,20 @@ def _witness_for_word(n: int, minor: MinorId, word: tuple, side: str, _depth: in
             n=n, minor=minor, element=elem, side=side, power=1, cofactor=elem,
             derivation=_node("central-word", {"length": len(word)}),
         )
-    acc = _witness_for_word(n, minor, word[1:], side, _depth)
+    acc = _witness_for_word(n, minor, word[1:], side)
     g = word[0]
-    w_g = witness_generator_constructive(n, minor, g[0], g[1], side, _depth)
-    return _compose_product(w_g, acc, _depth)
+    w_g = witness_generator_constructive(n, minor, g[0], g[1], side)
+    return _compose_product(w_g, acc)
 
 
-def _witness_for_terms(
-    n: int, minor: MinorId, terms: Sequence[tuple[LaurentQ, tuple]], side: str, _depth: int
-) -> OreWitness:
+def _witness_for_terms(n: int, minor: MinorId, terms: Sequence[tuple[LaurentQ, tuple]], side: str) -> OreWitness:
     if not terms:
         raise ValueError("cannot witness an empty expression")
-    return reduce(_compose_sum, [_scale_witness(_witness_for_word(n, minor, word, side, _depth), coeff)
+    return reduce(_compose_sum, [_scale_witness(_witness_for_word(n, minor, word, side), coeff)
                                  for coeff, word in terms])
 
 
-def _witness_constructive(n: int, minor: MinorId, element: Element, side: str, _depth: int) -> OreWitness:
-    if _depth > 60:
-        raise RecursionError("witness composition recursion exceeded the safety bound")
+def _witness_constructive(n: int, minor: MinorId, element: Element, side: str) -> OreWitness:
     words = element.terms()
     if len(words) == 1 and not words[0][0]:
         # scalar multiple of the unit
@@ -624,7 +593,7 @@ def _witness_constructive(n: int, minor: MinorId, element: Element, side: str, _
             cofactor=Element.scalar(n, coeff),
             derivation=_node("unit", {"coefficient": coeff.render()}),
         )
-    return _witness_for_terms(n, minor, [(c, w) for w, c in words], side, _depth + 1)
+    return _witness_for_terms(n, minor, [(c, w) for w, c in words], side)
 
 
 def witness_for_element(
@@ -658,7 +627,7 @@ def witness_for_element(
         ))
     if strategy != "constructive":
         raise ValueError(f"unknown strategy {strategy!r}")
-    return _witness_constructive(n, minor, element, side, 0).certify()
+    return _witness_constructive(n, minor, element, side).certify()
 
 
 # -- multi-minor chains --------------------------------------------------------------
@@ -692,10 +661,8 @@ class ChainWitness:
             prod = prod * D
         lhs_mult = Element.unit(n)
         for m, a in zip(self.minors, self.powers):
-            lhs_mult = lhs_mult * minor_power(n, m, a)
-        if self.side == LEFT:
-            return (lhs_mult * self.element).scale(self.scale) - self.cofactor * prod
-        return (self.element * lhs_mult).scale(self.scale) - prod * self.cofactor
+            lhs_mult = lhs_mult * _minor_power(n, m, a)
+        return _times(self.side, lhs_mult, self.element).scale(self.scale) - _times(self.side, self.cofactor, prod)
 
     def certify(self) -> "ChainWitness":
         res = self.residual()
@@ -767,9 +734,6 @@ def witness_to_file(w: OreWitness, path: str) -> None:
 
 
 def witness_from_json(data: dict) -> OreWitness:
-    from .exprparse import parse_element
-    from .scalars import parse_laurent
-
     if data.get("schema") != "qmb-witness-v1":
         raise ValueError(f"unsupported witness schema {data.get('schema')!r}")
     n = int(data["n"])
@@ -796,9 +760,13 @@ def verify_witness_file(path: str) -> OreWitness:
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     try:
+        if int(data["n"]) < 1:
+            raise ValueError(f"malformed witness file: n must be positive, got {data['n']}")
         w = witness_from_json(data)
     except (KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"malformed witness file: missing or mistyped {exc}") from None
+    except ExprSyntaxError as exc:
+        raise ValueError(f"malformed witness file: {exc}") from None
     _check_side(w.side)
     if w.power < 1 or w.target_power < 1:
         raise ValueError(f"witness powers must be at least 1, got {w.power} and {w.target_power}")

@@ -178,8 +178,11 @@ class TestOreVerb:
         ({"scale": "0", "cofactor": "0"}, EXIT_PRECONDITION),
         ({"element": "0", "cofactor": "0"}, EXIT_PRECONDITION),
         ({"cofactor": None}, EXIT_PRECONDITION),  # None removes the key
+        ({"power": 1000000}, EXIT_DEGREE_CAP),
+        ({"n": 0}, EXIT_PRECONDITION),
+        ({"cofactor": "t[1,"}, EXIT_PRECONDITION),
     ], ids=["wrong-power", "unknown-side", "negative-power", "zero-powers", "zero-target-power",
-            "zero-scale", "zero-element", "missing-key"])
+            "zero-scale", "zero-element", "missing-key", "huge-power", "zero-n", "unparsable-cofactor"])
     def test_tampered_witness_exit(self, capsys, tmp_path, changes, expected):
         path = tmp_path / "w.json"
         run(

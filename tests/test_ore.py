@@ -1,6 +1,7 @@
 """Witness solver, constructive engine, composition calculus, chains, files."""
 
 import dataclasses
+import hashlib
 import json
 import random
 from itertools import combinations
@@ -14,6 +15,7 @@ from qmb.minors import MinorId, minor_element, quantum_minor
 from qmb.ore import (
     LEFT,
     RIGHT,
+    SIDES,
     CertificateError,
     OreWitness,
     UnsatWithinBound,
@@ -148,6 +150,31 @@ class TestConstructiveGenerators:
                                 w = witness_generator_constructive(n, minor, k, l, side)
                                 assert w.certified
                                 assert w.scale == ONE
+
+
+def test_n3_generator_witnesses_are_pinned():
+    """The canonical JSON of all 648 n = 3 generator witnesses, both routes and
+    both forms, hashed in a fixed order; any change to a witness, a cofactor's
+    text or a derivation tree changes the hash."""
+    n = 3
+    digest = hashlib.sha256()
+    count = 0
+    for route in ("solver", "constructive"):
+        for side in SIDES:
+            for m in (1, 2):
+                for K in combinations((1, 2, 3), m):
+                    for L in combinations((1, 2, 3), m):
+                        minor = MinorId(K, L)
+                        for k in (1, 2, 3):
+                            for l in (1, 2, 3):
+                                if route == "solver":
+                                    w = solve_witness(n, minor, gen(n, k, l), side)
+                                else:
+                                    w = witness_generator_constructive(n, minor, k, l, side)
+                                digest.update(json.dumps(w.to_json(), sort_keys=True).encode())
+                                count += 1
+    assert count == 648
+    assert digest.hexdigest() == "9eb8925d7681471c78c723d82a76d7c07992b1c90a10d7d6c4d596c4c2d20d3c"
 
 
 class TestCompositions:
@@ -348,12 +375,13 @@ class TestWitnessForElement:
         lhs_deg = (D**w.power * w.element).multidegree()
         assert w.cofactor.multidegree() == lhs_deg.minus(D.multidegree())
 
-    def test_randomized_compositions_replay(self):
+    @pytest.mark.parametrize("side", SIDES)
+    def test_randomized_compositions_replay(self, side):
         rng = random.Random(71)
         n = 2
         minor = M22
         gens = [(1, 1), (1, 2), (2, 1), (2, 2)]
-        pool = [witness_generator_constructive(n, minor, i, j, LEFT) for i, j in gens]
+        pool = [witness_generator_constructive(n, minor, i, j, side) for i, j in gens]
         for _ in range(30):
             op = rng.choice(("product", "sum", "scale", "power"))
             w1 = rng.choice(pool)
