@@ -1,8 +1,12 @@
 """Exact linear algebra over the rational-function field in q.
 
-Fraction-free (Bareiss) forward elimination keeps every intermediate entry a
-Laurent polynomial (divisions by the previous pivot are exact in the Laurent
-ring); only the final back-substitution produces rational functions.
+The systems the solver builds are mostly zeros (the largest, 370 x 120, is
+3 % nonzero), so each row is a dict ``{column: QRational}`` holding only its
+nonzero entries, and Gauss-Jordan elimination runs over the canonical
+rational functions.  Columns are visited left to right, so the pivot
+columns are the leftmost independent ones and free columns are set to zero;
+since every value is canonical, the solution does not depend on which row
+supplies a pivot.
 """
 
 from __future__ import annotations
@@ -12,8 +16,10 @@ from typing import Optional
 
 from .scalars import LaurentQ, QRational, ONE
 
+_QZERO = QRational(0)
 
-@dataclass
+
+@dataclass(frozen=True)
 class LinearSolution:
     """Outcome of solving ``A x = b`` over rational functions in q.
 
@@ -26,59 +32,55 @@ class LinearSolution:
     consistent: bool
 
 
+def _size(v: QRational) -> int:
+    return len(v.num.terms) + len(v.den.terms)
+
+
 def solve_linear(A: list[list[LaurentQ]], b: list[LaurentQ]) -> LinearSolution:
     rows = len(A)
     if rows != len(b):
         raise ValueError("matrix and right-hand side have different heights")
     cols = len(A[0]) if rows else 0
-    # augmented working copy
-    M = [list(A[i]) + [b[i]] for i in range(rows)]
-    width = cols + 1
+    # sparse augmented rows; the right-hand side sits under key ``cols``
+    R: list[dict[int, QRational]] = []
+    for row, rhs in zip(A, b):
+        entries = {j: QRational(v) for j, v in enumerate(row) if v}
+        if rhs:
+            entries[cols] = QRational(rhs)
+        R.append(entries)
 
-    piv_rows: list[int] = []
-    piv_cols: list[int] = []
-    prev = ONE
-    r = 0
+    free = set(range(rows))  # rows that have not supplied a pivot
+    pivots: list[tuple[int, int]] = []  # (column, row), row scaled to 1 there
     for c in range(cols):
-        # smallest nonzero entry (by term count) for pivot, deterministic
-        best = None
-        for i in range(r, rows):
-            if not M[i][c].is_zero():
-                size = len(M[i][c].terms)
-                if best is None or size < best[0]:
-                    best = (size, i)
-        if best is None:
+        candidates = [i for i in free if c in R[i]]
+        if not candidates:
             continue
-        _, pi = best
-        if pi != r:
-            M[r], M[pi] = M[pi], M[r]
-        pivot = M[r][c]
-        for i in range(r + 1, rows):
-            head = M[i][c]
-            for j in range(c, width):
-                num = pivot * M[i][j] - head * M[r][j]
-                M[i][j] = num.divexact(prev)
-        prev = pivot
-        piv_rows.append(r)
-        piv_cols.append(c)
-        r += 1
-        if r == rows:
-            break
+        # fewest nonzeros, then the smallest entry, then the lowest index
+        p = min(candidates, key=lambda i: (len(R[i]), _size(R[i][c]), i))
+        free.discard(p)
+        head = R[p].pop(c)
+        prow = {j: v / head for j, v in R[p].items()}
+        R[p] = prow
+        for row in R:
+            if c not in row:
+                continue
+            f = row.pop(c)
+            for j, v in prow.items():
+                s = row.get(j, _QZERO) - f * v
+                if s:
+                    row[j] = s
+                else:
+                    row.pop(j, None)
+        pivots.append((c, p))
 
-    rank = len(piv_cols)
-    # consistency: all rows below the pivots must have zero RHS
-    for i in range(rank, rows):
-        if not M[i][cols].is_zero():
-            return LinearSolution(None, rank, False)
-
-    x: list[QRational] = [QRational(0) for _ in range(cols)]
-    for idx in range(rank - 1, -1, -1):
-        i, c = piv_rows[idx], piv_cols[idx]
-        acc = QRational(M[i][cols])
-        for j in range(c + 1, cols):
-            if not M[i][j].is_zero() and x[j]:
-                acc = acc - QRational(M[i][j]) * x[j]
-        x[c] = acc / QRational(M[i][c])
+    rank = len(pivots)
+    # every column is now eliminated outside its pivot row, so a row that
+    # supplied no pivot holds at most its right-hand side
+    if any(R[i] for i in free):
+        return LinearSolution(None, rank, False)
+    x = [_QZERO] * cols
+    for c, p in pivots:
+        x[c] = R[p].get(cols, _QZERO)
     return LinearSolution(x, rank, True)
 
 

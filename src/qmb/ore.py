@@ -754,6 +754,19 @@ def witness_from_json(data: dict) -> OreWitness:
     )
 
 
+def _check_infeasible(records, power: int) -> None:
+    """The listed infeasible powers must be objects whose integer ``power``
+    values rise strictly within ``1 .. power - 1`` (a constructive witness
+    lists none)."""
+    if not isinstance(records, list) or not all(isinstance(r, dict) for r in records):
+        raise ValueError("malformed witness file: infeasible_powers must be a list of objects")
+    powers = [r.get("power") for r in records]
+    if (not all(type(p) is int for p in powers) or powers != sorted(set(powers))
+            or not all(1 <= p < power for p in powers)):
+        raise ValueError(f"malformed witness file: infeasible powers {powers} must rise strictly "
+                         f"within 1 .. {power - 1}")
+
+
 def verify_witness_file(path: str) -> OreWitness:
     """Re-check a witness file bit-exactly; raises CertificateError on failure,
     and ValueError on a malformed or vacuous file, before any replay."""
@@ -770,6 +783,7 @@ def verify_witness_file(path: str) -> OreWitness:
     _check_side(w.side)
     if w.power < 1 or w.target_power < 1:
         raise ValueError(f"witness powers must be at least 1, got {w.power} and {w.target_power}")
+    _check_infeasible(w.infeasible, w.power)
     if w.scale.is_zero() or w.element.is_zero():
         raise ValueError("vacuous witness: the scale or the element is zero")
     return w.certify()

@@ -136,10 +136,15 @@ class LaurentQ:
 
     # -- arithmetic --------------------------------------------------------
 
+    # Each operator tests ``type(other) is LaurentQ`` first: the isinstance
+    # test against Fraction goes through the ABC machinery and costs several
+    # times more than the arithmetic on small operands.
+
     def __add__(self, other: ScalarLike) -> "LaurentQ":
-        if not isinstance(other, (int, Fraction, LaurentQ)):
-            return NotImplemented
-        other = LaurentQ.coerce(other)
+        if type(other) is not LaurentQ:
+            if not isinstance(other, (int, Fraction, LaurentQ)):
+                return NotImplemented
+            other = LaurentQ.coerce(other)
         if not self._terms:
             return other
         if not other._terms:
@@ -159,17 +164,20 @@ class LaurentQ:
         return LaurentQ._raw(tuple((e, -c) for e, c in self._terms))
 
     def __sub__(self, other: ScalarLike) -> "LaurentQ":
-        if not isinstance(other, (int, Fraction, LaurentQ)):
-            return NotImplemented
-        return self + (-LaurentQ.coerce(other))
+        if type(other) is not LaurentQ:
+            if not isinstance(other, (int, Fraction, LaurentQ)):
+                return NotImplemented
+            other = LaurentQ.coerce(other)
+        return self + (-other)
 
     def __rsub__(self, other: ScalarLike) -> "LaurentQ":
         return (-self) + LaurentQ.coerce(other)
 
     def __mul__(self, other: ScalarLike) -> "LaurentQ":
-        if not isinstance(other, (int, Fraction, LaurentQ)):
-            return NotImplemented
-        other = LaurentQ.coerce(other)
+        if type(other) is not LaurentQ:
+            if not isinstance(other, (int, Fraction, LaurentQ)):
+                return NotImplemented
+            other = LaurentQ.coerce(other)
         if not self._terms or not other._terms:
             return _ZERO
         if other.is_one():
@@ -247,8 +255,11 @@ class LaurentQ:
     def gcd(a: "LaurentQ", b: "LaurentQ") -> "LaurentQ":
         """Polynomial gcd of the polynomial parts, primitive with positive leading coefficient.
 
-        Monomial factors ``q^k`` are units of the Laurent ring and are ignored.
+        Monomial factors ``q^k`` are units of the Laurent ring and are ignored,
+        so the gcd with a monomial is one.
         """
+        if len(a._terms) == 1 or len(b._terms) == 1:
+            return _ONE
         if a.is_zero() and b.is_zero():
             return _ZERO
         if a.is_zero():
@@ -385,6 +396,10 @@ class QRational:
     def __init__(self, num: ScalarLike, den: ScalarLike = 1):
         num = LaurentQ.coerce(num)
         den = LaurentQ.coerce(den)
+        if den.is_one():  # already canonical
+            self._num = num
+            self._den = _ONE
+            return
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
         if num.is_zero():

@@ -170,7 +170,7 @@ class TestOreVerb:
         assert code == EXIT_UNSAT
 
     @pytest.mark.parametrize("changes, expected", [
-        ({"power": 1}, EXIT_CHECK_FAILED),
+        ({"power": 3}, EXIT_CHECK_FAILED),
         ({"side": "sideways"}, EXIT_PRECONDITION),
         ({"power": -1}, EXIT_PRECONDITION),
         ({"power": 0, "target_power": 0}, EXIT_PRECONDITION),
@@ -181,8 +181,14 @@ class TestOreVerb:
         ({"power": 1000000}, EXIT_DEGREE_CAP),
         ({"n": 0}, EXIT_PRECONDITION),
         ({"cofactor": "t[1,"}, EXIT_PRECONDITION),
+        ({"infeasible_powers": 5}, EXIT_PRECONDITION),
+        ({"power": 1}, EXIT_PRECONDITION),  # power 1 is listed as infeasible
+        ({"infeasible_powers": [{"power": 1}, {"power": 1}]}, EXIT_PRECONDITION),
+        ({"infeasible_powers": [{"power": "1"}]}, EXIT_PRECONDITION),
     ], ids=["wrong-power", "unknown-side", "negative-power", "zero-powers", "zero-target-power",
-            "zero-scale", "zero-element", "missing-key", "huge-power", "zero-n", "unparsable-cofactor"])
+            "zero-scale", "zero-element", "missing-key", "huge-power", "zero-n", "unparsable-cofactor",
+            "bad-infeasible-non-list", "bad-infeasible-at-power", "bad-infeasible-repeated",
+            "bad-infeasible-non-integer"])
     def test_tampered_witness_exit(self, capsys, tmp_path, changes, expected):
         path = tmp_path / "w.json"
         run(

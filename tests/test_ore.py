@@ -177,6 +177,19 @@ def test_n3_generator_witnesses_are_pinned():
     assert digest.hexdigest() == "9eb8925d7681471c78c723d82a76d7c07992b1c90a10d7d6c4d596c4c2d20d3c"
 
 
+def test_n4_interior_solver_witness_is_pinned():
+    """The 370 x 120 system of D[{1,3,4},{1,2,4}] against t[2,3] (left form),
+    the largest the n = 4 solver sweep solves: its witness, the power and the
+    rank evidence of the infeasible powers are pinned."""
+    w = solve_witness(4, MinorId((1, 3, 4), (1, 2, 4)), gen(4, 2, 3), LEFT)
+    assert w.power == 3
+    assert [(r["power"], r["rank"], r["equations"], r["unknowns"]) for r in w.infeasible] == [
+        (1, 1, 14, 1), (2, 24, 120, 24)]
+    text = json.dumps(w.to_json(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "7a68c7be5bfd14a52769bef1955c2b3375234fedef72c44ab013b94fdf89bcc3")
+
+
 class TestCompositions:
     def test_product_of_central_witnesses(self):
         w1 = witness_generator_constructive(2, MFULL2, 1, 1, LEFT)

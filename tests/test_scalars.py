@@ -1,5 +1,6 @@
 """Exact scalar arithmetic tests."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -133,3 +134,59 @@ class TestDivexact:
         b = LaurentQ({2: 4, 1: -8, 0: 4})  # 4(q-1)^2
         g = LaurentQ.gcd(a, b)
         assert g == LaurentQ({1: 1, 0: -1})
+
+
+class TestFastPaths:
+    """The shortcuts for LaurentQ operands, monomial gcds and unit denominators
+    return the same canonical values as the general paths."""
+
+    @staticmethod
+    def rand_laurent(rng, size=4):
+        return LaurentQ({rng.randint(-3, 3): Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+                         for _ in range(rng.randint(0, size))})
+
+    @staticmethod
+    def rand_monomial(rng):
+        c = Fraction(rng.choice([-3, -2, -1, 1, 2, 5]), rng.randint(1, 4))
+        return LaurentQ({rng.randint(-4, 4): c})
+
+    def test_gcd_with_a_monomial_is_one(self):
+        rng = random.Random(11)
+        for _ in range(200):
+            a, m = self.rand_laurent(rng), self.rand_monomial(rng)
+            assert LaurentQ.gcd(a, m) == ONE
+            assert LaurentQ.gcd(m, a) == ONE
+
+    def test_unit_denominator_is_canonical(self):
+        rng = random.Random(12)
+        for _ in range(200):
+            a, m = self.rand_laurent(rng), self.rand_monomial(rng)
+            for value in (QRational(a), QRational(a * m, m), QRational(a, ONE)):
+                assert value == QRational(a)
+                assert value.den.is_one()
+                assert value.num.terms == a.terms
+
+    def test_mixed_operands_are_canonical(self):
+        rng = random.Random(13)
+        for _ in range(200):
+            a = self.rand_laurent(rng)
+            x = rng.choice([rng.randint(-3, 3), Fraction(rng.randint(-3, 3), rng.randint(1, 3))])
+            plus = dict(a.terms)
+            plus[0] = plus.get(0, 0) + x
+            minus = dict(a.terms)
+            minus[0] = minus.get(0, 0) - x
+            times = {e: c * x for e, c in a.terms}
+            negated = {e: -c for e, c in minus.items()}
+            for got, want in ((a + x, plus), (x + a, plus), (a - x, minus), (x - a, negated),
+                              (a * x, times), (x * a, times), (a + LaurentQ(x), plus),
+                              (a - LaurentQ(x), minus), (a * LaurentQ(x), times)):
+                assert got.terms == LaurentQ(want).terms
+
+    def test_other_operands_are_left_to_their_own_type(self):
+        a = Q + ONE
+        for other in (1.5, "q", [1], object(), None):
+            for op in (lambda: a + other, lambda: other + a, lambda: a - other,
+                       lambda: a * other, lambda: other * a):
+                with pytest.raises(TypeError):
+                    op()
+        assert a + QRational(ONE, a) == QRational(a * a + ONE, a)
