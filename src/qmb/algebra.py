@@ -212,15 +212,6 @@ class MultiDegree:
             cols[j - 1] += 1
         return cls(tuple(rows), tuple(cols))
 
-    def total(self) -> int:
-        return sum(self.rows)
-
-    def __add__(self, other: "MultiDegree") -> "MultiDegree":
-        return MultiDegree(
-            tuple(a + b for a, b in zip(self.rows, other.rows)),
-            tuple(a + b for a, b in zip(self.cols, other.cols)),
-        )
-
     def minus(self, other: "MultiDegree") -> Optional["MultiDegree"]:
         """Componentwise difference, or None when any entry would go negative."""
         rows = tuple(a - b for a, b in zip(self.rows, other.rows))
@@ -309,9 +300,6 @@ class Element:
         if not self._t:
             return -1
         return max(len(w) for w in self._t)
-
-    def term_count(self) -> int:
-        return len(self._t)
 
     def multidegree(self) -> Optional[MultiDegree]:
         """The common multidegree of all words, or None when inhomogeneous."""
@@ -510,33 +498,19 @@ def basis_monomials(n: int, rows: tuple[int, ...], cols: tuple[int, ...]) -> lis
     if sum(rows) != sum(cols):
         raise ValueError(f"unbalanced multidegree: row total {sum(rows)} != column total {sum(cols)}")
 
-    out: list[Word] = []
-    word: list[Gen] = []
-
-    def fill_row(i: int, remaining_cols: list[int]) -> None:
-        if i == n:
-            if all(v == 0 for v in remaining_cols):
-                out.append(tuple(word))
-            return
-        target = rows[i]
-
-        def place(j: int, left: int) -> None:
-            if j == n:
-                if left == 0:
-                    fill_row(i + 1, remaining_cols)
-                return
-            limit = min(left, remaining_cols[j])
-            for k in range(limit + 1):
-                if k:
-                    remaining_cols[j] -= k
-                    word.extend([(i + 1, j + 1)] * k)
-                place(j + 1, left - k)
-                if k:
-                    remaining_cols[j] += k
-                    del word[-k:]
-
-        place(0, target)
-
-    fill_row(0, list(cols))
-    out.sort()
-    return out
+    # one row at a time: every way to spread the row's count over the
+    # columns that still have room, so no recursion grows with n
+    states: list[tuple[Word, tuple[int, ...]]] = [((), tuple(cols))]
+    for i, target in enumerate(rows, start=1):
+        if not target:
+            continue
+        grown = []
+        for word, room in states:
+            fills = [(word, room, target)]
+            for j, r in enumerate(room):
+                if r:
+                    fills = [(w + ((i, j + 1),) * k, rest[:j] + (rest[j] - k,) + rest[j + 1 :], left - k)
+                             for w, rest, left in fills for k in range(min(left, r) + 1)]
+            grown.extend((w, rest) for w, rest, left in fills if not left)
+        states = grown
+    return sorted(word for word, _ in states)

@@ -205,5 +205,11 @@ class _Parser:
 
 
 def parse_element(text: str, n: int) -> Element:
-    """Parse an expression into a normal-form element of the size-n algebra."""
-    return _Parser(text, n).parse()
+    """Parse an expression into a normal-form element of the size-n algebra.
+
+    The parser recurses at every bracket and every unary sign; nesting past
+    Python's recursion limit is a syntax error."""
+    try:
+        return _Parser(text, n).parse()
+    except RecursionError:
+        raise ExprSyntaxError("expression nested too deeply", 0) from None

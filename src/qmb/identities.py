@@ -284,19 +284,13 @@ def check_E0_membership(
     replay = Element.zero(n)
     for coeff, w in e_terms:
         for i, g in enumerate(w):
-            gi = Element.generator(n, *g)
-            elem_comm = commutator(tp, gi)
+            elem_comm = commutator(tp, Element.generator(n, *g))
             if elem_comm.is_zero():
                 continue
-            prefix = Element.unit(n)
-            for h in w[:i]:
-                prefix = prefix * Element.generator(n, *h)
-            suffix = Element.unit(n)
-            for h in w[i + 1 :]:
-                suffix = suffix * Element.generator(n, *h)
-            contribution = (prefix * elem_comm * suffix).scale(coeff)
+            # one term lam * pair, pair proportional to t[kp, g.col] t[g.row, lp]
+            ((pair, lam),) = elem_comm.terms()
+            contribution = Element(n, [(w[:i] + pair + w[i + 1 :], coeff * lam)])
             replay = replay + contribution
-            # the elementary commutator is proportional to t[kp, g.col] t[g.row, lp]
             f1, f2 = (kp, g[1]), (g[0], lp)
             ok = f1 in e0 and f2 in e0
             leaves.append(
@@ -312,14 +306,7 @@ def check_E0_membership(
                 obstruction = obstruction + contribution
 
     # internal soundness: the expansion reproduces the commutator exactly
-    e_elem = Element.zero(n)
-    for coeff, w in e_terms:
-        word_elem = Element.unit(n)
-        for g in w:
-            word_elem = word_elem * Element.generator(n, *g)
-        e_elem = e_elem + word_elem.scale(coeff)
-    direct = commutator(tp, e_elem)
-    if replay != direct:
+    if replay != commutator(tp, Element(n, [(w, coeff) for coeff, w in e_terms])):
         raise AssertionError("commutator expansion does not replay to the direct commutator")
 
     status = VERIFIED if obstruction.is_zero() else FAILED

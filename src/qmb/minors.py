@@ -24,7 +24,7 @@ def index_set(labels: Iterable[int]) -> IndexSet:
     t = tuple(labels)
     if not t:
         raise ValueError("index set must be nonempty")
-    if any(not isinstance(v, int) for v in t):
+    if any(type(v) is not int for v in t):
         raise ValueError(f"labels must be integers, got {t!r}")
     if any(t[i] >= t[i + 1] for i in range(len(t) - 1)):
         raise ValueError(f"labels must be strictly increasing, got {t!r}")

@@ -83,9 +83,13 @@ class OreWitness:
     scale: LaurentQ = ONE
     target_power: int = 1
     derivation: dict = field(default_factory=dict)
-    denominator_zeros: list[LaurentQ] = field(default_factory=list)
     infeasible: list[dict] = field(default_factory=list)
     certified: bool = False
+
+    @property
+    def denominator_zeros(self) -> list[LaurentQ]:
+        """The irreducible factors of ``scale``: the values of q this witness excludes."""
+        return _factor_scale(self.scale)
 
     def residual(self) -> Element:
         Dp = _minor_power(self.n, self.minor, self.power)
@@ -143,9 +147,7 @@ def _solve_at_power(n: int, minor: MinorId, element: Element, side: str, m: int)
     d_deg = D.multidegree()
     target = _times(side, _minor_power(n, minor, m), element)
     t_deg = target.multidegree()
-    x_deg = t_deg.minus(d_deg)
-    if x_deg is None:
-        return None, {"power": m, "reason": "empty multidegree component", "rank": 0}
+    x_deg = t_deg.minus(d_deg)  # (m - 1) deg D + deg e: never negative
     basis = basis_monomials(n, x_deg.rows, x_deg.cols)
     columns = []
     support: dict = {}
@@ -245,7 +247,6 @@ def _solve_homogeneous(n: int, minor: MinorId, element: Element, side: str, m_ma
             cofactor=cofactor,
             scale=scale,
             derivation=_node("solver", {"power": m, "infeasible_below": len(infeasible)}),
-            denominator_zeros=_factor_scale(scale),
             infeasible=infeasible,
         )
     raise UnsatWithinBound(
@@ -281,7 +282,6 @@ def _scale_witness(w: OreWitness, factor: LaurentQ) -> OreWitness:
         scale=w.scale,
         target_power=w.target_power,
         derivation=_node("scale", {"factor": factor.render()}, [w.derivation]),
-        denominator_zeros=list(w.denominator_zeros),
     )
 
 
@@ -300,11 +300,9 @@ def _extend_to_power(w: OreWitness, j: int) -> OreWitness:
     n, minor, side = w.n, w.minor, w.side
     P, R, S = w.power, w.cofactor, w.scale
     children = [w.derivation]
-    zeros = list(w.denominator_zeros)
     for p in range(1, j):
         wr = _witness_constructive(n, minor, R, side)
         children.append(wr.derivation)
-        zeros.extend(wr.denominator_zeros)
         P += wr.power
         S = S * wr.scale
         R = wr.cofactor
@@ -322,7 +320,6 @@ def _extend_to_power(w: OreWitness, j: int) -> OreWitness:
         scale=S,
         target_power=j,
         derivation=_node("power", {"target": j, "pad": pad}, children),
-        denominator_zeros=zeros,
     )
 
 
@@ -358,7 +355,6 @@ def _compose_product(w1: OreWitness, w2: OreWitness) -> OreWitness:
         cofactor=w1.cofactor * w2.cofactor,
         scale=w1.scale * w2.scale,
         derivation=_node("product", None, [w1.derivation, w2.derivation]),
-        denominator_zeros=w1.denominator_zeros + w2.denominator_zeros,
     )
 
 
@@ -391,7 +387,6 @@ def _compose_sum(w1: OreWitness, w2: OreWitness) -> OreWitness:
         cofactor=cofactor,
         scale=w1.scale * w2.scale,
         derivation=_node("sum", None, [w1.derivation, w2.derivation]),
-        denominator_zeros=w1.denominator_zeros + w2.denominator_zeros,
     )
 
 
@@ -441,7 +436,6 @@ def _reduce_relative(
         cofactor=cofactor,
         scale=se,
         derivation=_node("relative", {"base_power": m0}, [e_witness.derivation]),
-        denominator_zeros=list(e_witness.denominator_zeros),
     )
 
 
@@ -488,7 +482,6 @@ def _generator_witness(n: int, minor: MinorId, k: int, l: int, side: str) -> Ore
         return t_witness(
             power=left.power, cofactor=left.cofactor.antitranspose(), scale=left.scale,
             derivation=_node("mirror", {"map": "t[i,j] -> t[n+1-j,n+1-i]"}, [left.derivation]),
-            denominator_zeros=list(left.denominator_zeros),
         )
 
     K, L = minor.rows, minor.cols
@@ -532,7 +525,6 @@ def _generator_witness(n: int, minor: MinorId, k: int, l: int, side: str) -> Ore
         return t_witness(
             power=left.power, cofactor=left.cofactor.transpose(), scale=left.scale,
             derivation=_node("transposed-gap", {"k": k, "l": l}, [left.derivation]),
-            denominator_zeros=list(left.denominator_zeros),
         )
     # outside on both indices: the commutator with D expands over words in
     # the subalgebra generated by letters sharing a row with K or a column
@@ -733,57 +725,65 @@ def witness_to_file(w: OreWitness, path: str) -> None:
         fh.write("\n")
 
 
+def _json_int(data: dict, key: str) -> int:
+    """``data[key]``, which must be a JSON integer of at least 1."""
+    value = data[key]
+    if type(value) is not int or value < 1:
+        raise ValueError(f"malformed witness file: {key} must be an integer >= 1, got {value!r}")
+    return value
+
+
 def witness_from_json(data: dict) -> OreWitness:
-    if data.get("schema") != "qmb-witness-v1":
-        raise ValueError(f"unsupported witness schema {data.get('schema')!r}")
-    n = int(data["n"])
-    minor = MinorId(tuple(data["minor"]["rows"]), tuple(data["minor"]["cols"]))
-    return OreWitness(
+    """The (uncertified) witness a ``to_json`` dict states; every key that
+    ``to_json`` writes must be present."""
+    if data["schema"] != "qmb-witness-v1":
+        raise ValueError(f"unsupported witness schema {data['schema']!r}")
+    n = _json_int(data, "n")
+    w = OreWitness(
         n=n,
-        minor=minor,
+        minor=MinorId(tuple(data["minor"]["rows"]), tuple(data["minor"]["cols"])),
         element=parse_element(data["element"], n),
         side=data["side"],
-        power=int(data["power"]),
+        power=_json_int(data, "power"),
         cofactor=parse_element(data["cofactor"], n),
         scale=parse_laurent(data["scale"]),
-        target_power=int(data.get("target_power", 1)),
-        derivation=data.get("derivation", {}),
-        denominator_zeros=[parse_laurent(s) for s in data.get("denominator_zeros", [])],
-        infeasible=data.get("infeasible_powers", []),
-        certified=False,
+        target_power=_json_int(data, "target_power"),
+        derivation=data["derivation"],
+        infeasible=data["infeasible_powers"],
     )
-
-
-def _check_infeasible(records, power: int) -> None:
-    """The listed infeasible powers must be objects whose integer ``power``
-    values rise strictly within ``1 .. power - 1`` (a constructive witness
-    lists none)."""
-    if not isinstance(records, list) or not all(isinstance(r, dict) for r in records):
-        raise ValueError("malformed witness file: infeasible_powers must be a list of objects")
-    powers = [r.get("power") for r in records]
-    if (not all(type(p) is int for p in powers) or powers != sorted(set(powers))
-            or not all(1 <= p < power for p in powers)):
-        raise ValueError(f"malformed witness file: infeasible powers {powers} must rise strictly "
-                         f"within 1 .. {power - 1}")
+    missing = w.to_json().keys() - data.keys()
+    if missing:
+        raise ValueError(f"malformed witness file: missing {sorted(missing)}")
+    return w
 
 
 def verify_witness_file(path: str) -> OreWitness:
-    """Re-check a witness file bit-exactly; raises CertificateError on failure,
-    and ValueError on a malformed or vacuous file, before any replay."""
+    """Re-check a witness file bit-exactly; raises CertificateError on failure.
+
+    Before the replay, everything the file states beside its equation is
+    re-derived and compared: ``denominator_zeros`` from the scale, and
+    ``infeasible_powers`` (empty, or the solver's record for every power below
+    ``power``) by solving at each of those powers.  A malformed, vacuous or
+    misstated file raises ValueError."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     try:
-        if int(data["n"]) < 1:
-            raise ValueError(f"malformed witness file: n must be positive, got {data['n']}")
         w = witness_from_json(data)
     except (KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"malformed witness file: missing or mistyped {exc}") from None
     except ExprSyntaxError as exc:
         raise ValueError(f"malformed witness file: {exc}") from None
     _check_side(w.side)
-    if w.power < 1 or w.target_power < 1:
-        raise ValueError(f"witness powers must be at least 1, got {w.power} and {w.target_power}")
-    _check_infeasible(w.infeasible, w.power)
     if w.scale.is_zero() or w.element.is_zero():
         raise ValueError("vacuous witness: the scale or the element is zero")
+    zeros = [f.render() for f in w.denominator_zeros]
+    if data["denominator_zeros"] != zeros:
+        raise ValueError(f"denominator_zeros must be {zeros}, the factors of the scale {w.scale.render()}")
+    if w.infeasible != []:
+        if w.element.multidegree() is None:
+            raise ValueError("an inhomogeneous element lists no infeasible powers")
+        records = [_solve_at_power(w.n, w.minor, w.element, w.side, m)[1] for m in range(1, w.power)]
+        if json.dumps(w.infeasible, sort_keys=True) != json.dumps(records, sort_keys=True):
+            raise ValueError(f"infeasible_powers must be [] or the solver's records for powers "
+                             f"1 .. {w.power - 1}")
     return w.certify()

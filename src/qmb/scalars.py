@@ -64,7 +64,7 @@ class LaurentQ:
                 continue
             s = acc.get(e, 0) + c
             if s:
-                acc[e] = s
+                acc[e] = s if type(s) is int else _norm_coeff(s)
             elif e in acc:
                 del acc[e]
         self._terms = tuple(sorted(acc.items()))
@@ -80,10 +80,6 @@ class LaurentQ:
     @classmethod
     def zero(cls) -> "LaurentQ":
         return _ZERO
-
-    @classmethod
-    def one(cls) -> "LaurentQ":
-        return _ONE
 
     @classmethod
     def q_power(cls, e: int) -> "LaurentQ":
@@ -138,7 +134,9 @@ class LaurentQ:
 
     # Each operator tests ``type(other) is LaurentQ`` first: the isinstance
     # test against Fraction goes through the ABC machinery and costs several
-    # times more than the arithmetic on small operands.
+    # times more than the arithmetic on small operands.  An integral Fraction
+    # result is stored as int, as the constructor does; ``type(s) is int``
+    # keeps the all-int path to one identity test per term.
 
     def __add__(self, other: ScalarLike) -> "LaurentQ":
         if type(other) is not LaurentQ:
@@ -153,7 +151,7 @@ class LaurentQ:
         for e, c in other._terms:
             s = acc.get(e, 0) + c
             if s:
-                acc[e] = s
+                acc[e] = s if type(s) is int else _norm_coeff(s)
             elif e in acc:
                 del acc[e]
         return LaurentQ._raw(tuple(sorted(acc.items())))
@@ -190,7 +188,7 @@ class LaurentQ:
                 e = e1 + e2
                 s = acc.get(e, 0) + c1 * c2
                 if s:
-                    acc[e] = s
+                    acc[e] = s if type(s) is int else _norm_coeff(s)
                 elif e in acc:
                     del acc[e]
         return LaurentQ._raw(tuple(sorted(acc.items())))
@@ -441,11 +439,6 @@ class QRational:
     def is_laurent(self) -> bool:
         return self._den.is_one()
 
-    def as_laurent(self) -> LaurentQ:
-        if not self._den.is_one():
-            raise ValueError(f"{self} has a nontrivial denominator")
-        return self._num
-
     @staticmethod
     def coerce(value: Union[ScalarLike, "QRational"]) -> "QRational":
         if isinstance(value, QRational):
@@ -520,8 +513,8 @@ def parse_laurent(text: str) -> LaurentQ:
     """Parse the canonical Laurent text form back, bit-exactly.
 
     Grammar: signed terms joined by ``+``/``-``; each term is ``c``, ``q^e``,
-    or ``c*q^e`` with ``c`` an integer or ``a/b`` fraction and ``e`` an
-    integer; ``q^1`` is written ``q``.
+    or ``c*q^e`` with ``c`` an integer or ``a/b`` fraction (``b`` nonzero)
+    and ``e`` an integer; ``q^1`` is written ``q``.
     """
     s = text.strip()
     if s == "0":
@@ -530,7 +523,7 @@ def parse_laurent(text: str) -> LaurentQ:
 
     token = re.compile(
         r"\s*(?P<sign>[+-])?\s*"
-        r"(?:(?P<coeff>\d+(?:/\d+)?)\s*(?:\*\s*(?P<qpart1>q(?:\^-?\d+)?))?"
+        r"(?:(?P<coeff>\d+(?:/\d*[1-9]\d*)?)\s*(?:\*\s*(?P<qpart1>q(?:\^-?\d+)?))?"
         r"|(?P<qpart2>q(?:\^-?\d+)?))"
     )
     pos = 0

@@ -249,6 +249,8 @@ class TestBasisEnumeration:
             (2, (2, 2), (2, 2)),
             (3, (1, 1, 1), (1, 1, 1)),
             (3, (2, 1, 0), (1, 1, 1)),
+            (3, (0, 2, 1), (1, 0, 2)),
+            (3, (1, 0, 1), (0, 2, 0)),
         ],
     )
     def test_against_brute_force(self, n, rows, cols):
@@ -262,6 +264,11 @@ class TestBasisEnumeration:
     def test_unbalanced_rejected(self):
         with pytest.raises(ValueError):
             basis_monomials(2, (1, 0), (1, 1))
+
+    def test_large_n_does_not_recurse_per_cell(self):
+        rows, cols = [0] * 40, [0] * 40
+        rows[0] = rows[39] = cols[1] = cols[38] = 1
+        assert basis_monomials(40, tuple(rows), tuple(cols)) == [((1, 2), (40, 39)), ((1, 39), (40, 2))]
 
     def test_pbw_dimension_equals_component_span(self):
         # products of all degree-2 generator pairs stay inside the enumerated basis

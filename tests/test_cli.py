@@ -1,5 +1,6 @@
 """Command-line interface: verbs, exit codes, determinism, round trips."""
 
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -15,7 +16,8 @@ from qmb.cli import (
     main,
 )
 from qmb.exprparse import parse_element
-from qmb.minors import quantum_minor
+from qmb.minors import MinorId, quantum_minor
+from qmb.ore import extend_to_power, solve_witness, witness_to_file
 from qmb.scalars import Q
 
 
@@ -52,6 +54,11 @@ class TestNf:
         code, _, err = run(capsys, "nf", "--n", "2", "t[3,1]")
         assert code == EXIT_USAGE
         assert "out of range" in err
+
+    def test_deep_nesting_is_a_syntax_error(self, capsys):
+        code, out, err = run(capsys, "nf", "--n", "2", "(" * 300 + "t[1,1]" + ")" * 300)
+        assert code == EXIT_USAGE
+        assert out == "" and err.startswith("qmb: syntax error") and err.count("\n") == 1
 
     def test_degree_cap_exit(self, capsys, monkeypatch):
         monkeypatch.setenv("QMB_MAX_DEGREE", "2")
@@ -170,7 +177,8 @@ class TestOreVerb:
         assert code == EXIT_UNSAT
 
     @pytest.mark.parametrize("changes, expected", [
-        ({"power": 3}, EXIT_CHECK_FAILED),
+        ({"power": 3, "infeasible_powers": []}, EXIT_CHECK_FAILED),
+        ({"power": 3}, EXIT_PRECONDITION),  # power 2 is feasible but not listed
         ({"side": "sideways"}, EXIT_PRECONDITION),
         ({"power": -1}, EXIT_PRECONDITION),
         ({"power": 0, "target_power": 0}, EXIT_PRECONDITION),
@@ -185,10 +193,21 @@ class TestOreVerb:
         ({"power": 1}, EXIT_PRECONDITION),  # power 1 is listed as infeasible
         ({"infeasible_powers": [{"power": 1}, {"power": 1}]}, EXIT_PRECONDITION),
         ({"infeasible_powers": [{"power": "1"}]}, EXIT_PRECONDITION),
-    ], ids=["wrong-power", "unknown-side", "negative-power", "zero-powers", "zero-target-power",
-            "zero-scale", "zero-element", "missing-key", "huge-power", "zero-n", "unparsable-cofactor",
+        ({"element": "t[1,1] + t[1,1] t[1,1]"}, EXIT_PRECONDITION),  # inhomogeneous: no records
+        ({"denominator_zeros": ["1 + q"]}, EXIT_PRECONDITION),  # scale 1 has no factors
+        ({"power": 2.9}, EXIT_PRECONDITION),
+        ({"target_power": True}, EXIT_PRECONDITION),
+        ({"n": 2.5}, EXIT_PRECONDITION),
+        ({"scale": "1/0"}, EXIT_PRECONDITION),
+        ({"cofactor": "(" * 300 + "t[1,1]" + ")" * 300}, EXIT_PRECONDITION),
+        ({"minor": {"rows": [True], "cols": [2]}}, EXIT_PRECONDITION),
+    ], ids=["wrong-power", "partial-infeasible", "unknown-side", "negative-power", "zero-powers",
+            "zero-target-power", "zero-scale", "zero-element", "missing-key", "huge-power", "zero-n",
+            "unparsable-cofactor",
             "bad-infeasible-non-list", "bad-infeasible-at-power", "bad-infeasible-repeated",
-            "bad-infeasible-non-integer"])
+            "bad-infeasible-non-integer", "infeasible-inhomogeneous", "wrong-denominator-zeros",
+            "float-power", "bool-target-power", "float-n", "zero-denominator-scale", "deep-nesting",
+            "bool-label"])
     def test_tampered_witness_exit(self, capsys, tmp_path, changes, expected):
         path = tmp_path / "w.json"
         run(
@@ -201,6 +220,23 @@ class TestOreVerb:
         code, out, err = run(capsys, "verify-witness", str(path))
         assert code == expected
         assert out == "" and err.startswith("qmb: ") and err.count("\n") == 1
+
+    def test_feasible_power_listed_as_infeasible(self, capsys, tmp_path):
+        # a power-6 witness whose file claims powers 1 and 2 infeasible;
+        # the element's minimal power is 2, so power 2 is feasible
+        w = solve_witness(2, MinorId((2,), (2,)), parse_element("t[1,1]", 2))
+        records = w.infeasible + [dict(w.infeasible[0], power=2)]
+        path = tmp_path / "w.json"
+        witness_to_file(dataclasses.replace(extend_to_power(w, 3), infeasible=records), str(path))
+        code, out, err = run(capsys, "verify-witness", str(path))
+        assert code == EXIT_PRECONDITION
+        assert out == "" and "infeasible_powers" in err and err.count("\n") == 1
+
+    def test_large_n(self, capsys):
+        code, out, _ = run(capsys, "ore", "--n", "40", "--minor-rows", "1", "--minor-cols", "1",
+                           "--elem", "t[1,2]")
+        assert code == EXIT_OK
+        assert json.loads(out)["certified"] is True
 
     def test_chain_output(self, capsys, tmp_path):
         path = tmp_path / "chain.json"

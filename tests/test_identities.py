@@ -1,5 +1,8 @@
 """Identity checks: exact residuals and empirical convention resolution."""
 
+import hashlib
+import json
+
 import pytest
 
 from qmb.algebra import Element, commutator
@@ -226,6 +229,13 @@ class TestSuite:
         assert conv["muir"] == {"removed<added": 1, "removed>added": -1}
         assert conv["gap-one-factor-order"] == ["generator-first"]
         assert conv["gap-r-reading"] == [["same-row", "sorted"]]
+
+    def test_default_report_is_pinned(self):
+        """The default sweep's canonical JSON (1,490 results), hashed."""
+        text = json.dumps(run_suite().to_json(), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "04c5a4c0622b67fde5009616ef04f723a28b653d961ef21eba99af9b803a92b4"
+        )
 
     def test_report_json_shape(self):
         report = run_suite(n_max=2, size_cap=None, include_membership=False)

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -33,6 +34,8 @@ from qmb.ore import (
     witness_to_file,
 )
 from qmb.scalars import ONE, Q, Q_MINUS_QINV, LaurentQ
+
+from test_numeric_replay import replay_witness
 
 
 def gen(n, i, j):
@@ -286,6 +289,17 @@ class TestCompositions:
         assert w2.target_power == 2
         assert w2.certified
 
+    def test_extend_pads_to_a_multiple_of_the_target(self):
+        # the solver clears t[2,2] t[1,1] against t[1,1] at power 1; clearing
+        # its cofactor once more costs power 2, and 3 is padded to 4
+        t = lambda i, j: gen(3, i, j)  # noqa: E731
+        w = solve_witness(3, MinorId((1,), (1,)), t(2, 2) * t(1, 1), LEFT)
+        w2 = extend_to_power(w, 2)
+        assert (w2.power, w2.target_power, w2.derivation["detail"]["pad"]) == (4, 2, 1)
+        assert w2.certified
+        for q0 in (Fraction(2), Fraction(-3, 2)):
+            assert replay_witness(w2, q0) == {}
+
     def test_extend_rejects_bad_power(self):
         w = witness_generator_constructive(2, MFULL2, 1, 1, LEFT)
         with pytest.raises(ValueError):
@@ -504,3 +518,13 @@ class TestDenominatorReporting:
         roots = {Fraction(1), Fraction(-1)}
         for f in factors:
             assert any(f.specialize(r) == 0 for r in roots)
+
+    def test_composed_witness_lists_each_factor_once(self, tmp_path):
+        w = solve_witness(2, M22, gen(2, 1, 1), LEFT)
+        scaled = dataclasses.replace(w, scale=Q + ONE, cofactor=w.cofactor.scale(Q + ONE))
+        product = compose_product(scaled, scaled)
+        assert product.scale == (Q + ONE) * (Q + ONE)
+        assert product.to_json()["denominator_zeros"] == ["1 + q"]
+        path = tmp_path / "w.json"
+        witness_to_file(product, str(path))
+        assert verify_witness_file(str(path)).denominator_zeros == [Q + ONE]

@@ -119,6 +119,11 @@ class TestRingAxioms:
     def test_render_parse_round_trip(self, a):
         assert parse_laurent(a.render()) == a
 
+    @pytest.mark.parametrize("text", ["1/0", "3/00", "q + 2/0*q^2"])
+    def test_zero_denominator_rejected(self, text):
+        with pytest.raises(ValueError):
+            parse_laurent(text)
+
 
 class TestDivexact:
     def test_exact(self):
@@ -181,6 +186,27 @@ class TestFastPaths:
                               (a * x, times), (x * a, times), (a + LaurentQ(x), plus),
                               (a - LaurentQ(x), minus), (a * LaurentQ(x), times)):
                 assert got.terms == LaurentQ(want).terms
+
+    def test_fraction_results_are_canonical(self):
+        # an integral Fraction sum or product is stored as int, as the constructor does
+        def typed(p):
+            return [(e, c, type(c)) for e, c in p.terms]
+
+        half = LaurentQ({0: Fraction(1, 2)})
+        assert typed(half + half) == typed(half * LaurentQ(2)) == [(0, 1, int)]
+        rng = random.Random(14)
+        for _ in range(200):
+            a, b = self.rand_laurent(rng), self.rand_laurent(rng)
+            plus = dict(a.terms)
+            for e, c in b.terms:
+                plus[e] = plus.get(e, 0) + c
+            times: dict = {}
+            for e1, c1 in a.terms:
+                for e2, c2 in b.terms:
+                    times[e1 + e2] = times.get(e1 + e2, 0) + c1 * c2
+            assert typed(a + b) == typed(LaurentQ(plus))
+            assert typed(a * b) == typed(LaurentQ(times))
+            assert typed(LaurentQ(list(a.terms) + list(b.terms))) == typed(LaurentQ(plus))
 
     def test_other_operands_are_left_to_their_own_type(self):
         a = Q + ONE
