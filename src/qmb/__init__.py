@@ -4,7 +4,7 @@ Normal forms in the PBW basis, quantum minors, exhaustive verification of
 the minor commutation identities, and certified Ore-condition witnesses.
 """
 
-from .scalars import LaurentQ, QRational, parse_laurent
+from .scalars import LaurentQ, QRational
 from .algebra import (
     ContextMismatchError,
     DegreeCapError,
@@ -40,7 +40,7 @@ from .ore import (
     witness_for_element,
     witness_generator_constructive,
 )
-from .exprparse import parse_element
+from .exprparse import parse_element, parse_laurent
 from . import algebra, minors, ore
 
 

@@ -23,6 +23,7 @@ from .identities import (
     check_gap_r,
     check_muir,
     check_qcommutation,
+    gap_index,
     run_suite,
 )
 from .minors import MinorId, quantum_minor
@@ -43,6 +44,10 @@ EXIT_CHECK_FAILED = 5
 EXIT_DEGREE_CAP = 6
 
 
+class UsageError(Exception):
+    """A combination of options the verb cannot run with (exit 2)."""
+
+
 def _labels(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(v) for v in text.split(",") if v.strip() != "")
@@ -60,9 +65,7 @@ def _emit(data, fmt: str, out_path=None) -> None:
     if fmt == "json":
         text = json.dumps(data, indent=2, sort_keys=True) + "\n"
     else:
-        text = data if isinstance(data, str) else str(data)
-        if not text.endswith("\n"):
-            text += "\n"
+        text = data if data.endswith("\n") else data + "\n"
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -70,58 +73,50 @@ def _emit(data, fmt: str, out_path=None) -> None:
         sys.stdout.write(text)
 
 
-def _cmd_nf(args) -> int:
-    elem = parse_element(args.expression, args.n)
+def _emit_element(args, key: str, elem, **fields) -> int:
+    """``elem`` as canonical text, or as JSON under ``key`` beside ``n`` and ``fields``."""
     if args.format == "json":
-        _emit({"n": args.n, "normal_form": elem.render()}, "json", args.out)
+        _emit({"n": args.n, **fields, key: elem.render()}, "json", args.out)
     else:
         _emit(elem.render(), "text", args.out)
     return EXIT_OK
+
+
+def _cmd_nf(args) -> int:
+    return _emit_element(args, "normal_form", parse_element(args.expression, args.n))
 
 
 def _cmd_minor(args) -> int:
     elem = quantum_minor(args.n, args.rows, args.cols)
-    if args.format == "json":
-        _emit({"n": args.n, "rows": list(args.rows), "cols": list(args.cols),
-               "minor": elem.render()}, "json", args.out)
-    else:
-        _emit(elem.render(), "text", args.out)
-    return EXIT_OK
+    return _emit_element(args, "minor", elem, rows=list(args.rows), cols=list(args.cols))
 
 
 def _cmd_commutator(args) -> int:
     a = parse_element(args.left, args.n)
     b = parse_element(args.right, args.n)
-    result = a * b - b * a
-    if args.format == "json":
-        _emit({"n": args.n, "commutator": result.render()}, "json", args.out)
-    else:
-        _emit(result.render(), "text", args.out)
-    return EXIT_OK
+    return _emit_element(args, "commutator", a * b - b * a)
 
 
 def _cmd_identity(args) -> int:
     kind = args.kind
     if kind != "muir" and (args.k is None or args.l is None):
-        raise SystemExit(f"--k and --l are required for {kind} checks")
+        raise UsageError(f"--k and --l are required for {kind} checks")
     if kind == "centrality":
         res = check_centrality(args.n, args.rows, args.cols, args.k, args.l)
     elif kind == "q-commutation":
         res = check_qcommutation(args.n, args.rows, args.cols, args.k, args.l)
     elif kind == "muir":
         if args.cols2 is None:
-            raise SystemExit("--cols2 is required for muir checks")
+            raise UsageError("--cols2 is required for muir checks")
         res = check_muir(args.n, args.rows, args.cols, args.cols2)
     elif kind == "gap-one":
         res = check_gap_one(args.n, args.rows, args.cols, args.k, args.l)
     elif kind == "gap-r":
-        r = args.r
-        if r is None:
-            r = sum(1 for x in args.cols if x < args.l)
+        r = gap_index(args.cols, args.l) if args.r is None else args.r
         res = check_gap_r(args.n, args.rows, args.cols, args.k, args.l, r)
     else:  # membership
         if args.element is None:
-            raise SystemExit("--element is required for membership checks")
+            raise UsageError("--element is required for membership checks")
         elem = parse_element(args.element, args.n)
         res = check_E0_membership(
             args.n, args.rows, args.cols, (args.k, args.l),
@@ -150,7 +145,7 @@ def _cmd_suite(args) -> int:
 
 def _cmd_ore(args) -> int:
     if len(args.minor_rows) != len(args.minor_cols):
-        raise SystemExit("--minor-rows and --minor-cols must be given the same number of times")
+        raise UsageError("--minor-rows and --minor-cols must be given the same number of times")
     elem = parse_element(args.elem, args.n)
     side = LEFT if args.side == "left" else RIGHT
     minors = [MinorId(r, c) for r, c in zip(args.minor_rows, args.minor_cols)]
@@ -178,28 +173,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def common(p, with_n=True):
-        if with_n:
-            p.add_argument("--n", type=_positive_int, required=True, help="matrix size (fixes the algebra)")
-        p.add_argument("--format", choices=("text", "json"), default=None)
+    def common(p, fmt=None):
+        p.add_argument("--n", type=_positive_int, required=True, help="matrix size (fixes the algebra)")
+        if fmt:
+            p.add_argument("--format", choices=("text", "json"), default=fmt)
         p.add_argument("--out", default=None, help="write output to this path instead of stdout")
 
     p = sub.add_parser("nf", help="normal form of an expression")
     p.add_argument("expression")
-    common(p)
-    p.set_defaults(func=_cmd_nf, default_format="text")
+    common(p, "text")
+    p.set_defaults(func=_cmd_nf)
 
     p = sub.add_parser("minor", help="expand a quantum minor")
     p.add_argument("--rows", type=_labels, required=True)
     p.add_argument("--cols", type=_labels, required=True)
-    common(p)
-    p.set_defaults(func=_cmd_minor, default_format="text")
+    common(p, "text")
+    p.set_defaults(func=_cmd_minor)
 
     p = sub.add_parser("commutator", help="normal form of a commutator [a, b]")
     p.add_argument("left")
     p.add_argument("right")
-    common(p)
-    p.set_defaults(func=_cmd_commutator, default_format="text")
+    common(p, "text")
+    p.set_defaults(func=_cmd_commutator)
 
     p = sub.add_parser("identity", help="check one identity configuration")
     p.add_argument("--kind", required=True,
@@ -212,29 +207,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, default=None, help="gap index (gap-r; inferred when omitted)")
     p.add_argument("--element", default=None, help="element expression (membership)")
     common(p)
-    p.set_defaults(func=_cmd_identity, default_format="json")
+    p.set_defaults(func=_cmd_identity)
 
     p = sub.add_parser("suite", help="sweep all identity configurations up to caps")
     p.add_argument("--n", type=_positive_int, default=4, help="largest matrix size to sweep")
-    p.add_argument("--size-cap", type=int, default=3, help="largest minor size")
+    p.add_argument("--size-cap", type=_positive_int, default=3, help="largest minor size")
     p.add_argument("--no-membership", action="store_true")
-    p.add_argument("--format", choices=("text", "json"), default=None)
+    p.add_argument("--format", choices=("text", "json"), default="json")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_suite, default_format="json")
+    p.set_defaults(func=_cmd_suite)
 
     p = sub.add_parser("ore", help="compute a certified Ore witness")
     p.add_argument("--minor-rows", type=_labels, action="append", required=True)
     p.add_argument("--minor-cols", type=_labels, action="append", required=True)
     p.add_argument("--elem", required=True)
     p.add_argument("--side", choices=("left", "right"), default="left")
-    p.add_argument("--max-power", type=int, default=None)
+    p.add_argument("--max-power", type=_positive_int, default=None,
+                   help="highest power to try (default: scan up to the degree cap)")
     p.add_argument("--strategy", choices=("solver", "constructive", "both"), default="solver")
     common(p)
-    p.set_defaults(func=_cmd_ore, default_format="json")
+    p.set_defaults(func=_cmd_ore)
 
     p = sub.add_parser("verify-witness", help="re-check a witness file bit-exactly")
     p.add_argument("path")
-    p.set_defaults(func=_cmd_verify_witness, default_format="json")
+    p.set_defaults(func=_cmd_verify_witness)
 
     return parser
 
@@ -242,10 +238,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "format", None) is None:
-        args.format = getattr(args, "default_format", "text")
     try:
         return args.func(args)
+    except UsageError as exc:
+        print(f"qmb: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except ExprSyntaxError as exc:
         print(f"qmb: syntax error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -13,13 +13,13 @@ Grammar (whitespace insensitive):
     exponent:= INT | '-' INT                       negative only on the bare q
 
 The canonical element text ``(coeff) * t[i,j] t[k,l] ...`` produced by
-``Element.render`` parses back bit-exactly.
+``Element.render`` parses back bit-exactly, and so does the canonical
+Laurent text of ``LaurentQ.render`` through :func:`parse_laurent`.
 """
 
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from typing import Optional
 
 from .algebra import Element
@@ -111,23 +111,11 @@ class _Parser:
             else:
                 return out
 
-    @staticmethod
-    def _as_rational(e: Element) -> Optional[Fraction]:
-        terms = e.terms()
-        if not terms:
-            return Fraction(0)
-        if len(terms) == 1 and not terms[0][0]:
-            try:
-                return terms[0][1].constant_value()
-            except ValueError:
-                return None
-        return None
-
     def _divide(self, num: Element, den: Element, pos: int) -> Element:
-        d = self._as_rational(den)
-        if d is None or not d:
+        d = _scalar(den)
+        if d is None or d.is_zero() or d.min_exp() != 0 or d.max_exp() != 0:
             raise ExprSyntaxError("division is only defined by nonzero rational constants", pos)
-        return num.scale(Fraction(1, 1) / d)
+        return num.scale(1 / d.constant_value())
 
     def factor(self) -> Element:
         kind, val, pos = self.peek()
@@ -213,3 +201,21 @@ def parse_element(text: str, n: int) -> Element:
         return _Parser(text, n).parse()
     except RecursionError:
         raise ExprSyntaxError("expression nested too deeply", 0) from None
+
+
+def _scalar(e: Element) -> Optional[LaurentQ]:
+    """The Laurent scalar ``e`` is a multiple of the unit by; None when a word survives."""
+    terms = e.terms()
+    if any(word for word, _ in terms):
+        return None
+    return terms[0][1] if terms else LaurentQ.zero()
+
+
+def parse_laurent(text: str) -> LaurentQ:
+    """Read a Laurent scalar in the expression grammar (the canonical text of
+    ``LaurentQ.render`` among it), bit-exactly; text whose value is not a
+    scalar is a syntax error."""
+    value = _scalar(parse_element(text, 1))
+    if value is None:
+        raise ExprSyntaxError(f"expected a Laurent scalar, got {text!r}", 0)
+    return value

@@ -6,6 +6,10 @@ tolerances.  Where the source statements are ambiguous (a ``q^{±1}``
 exponent, an unbound index, an unsorted replaced label list), the checks try
 the candidate readings and record which one verifies; nothing is assumed.
 
+The constructive witness engine in :mod:`qmb.ore` composes the statements
+verified here: :func:`generator_position` (every generator check's guard),
+:func:`gap_correction_terms` and :func:`commutator_terms`.
+
 The resolved conventions the sweep discovers, for reference:
 
 * generator/minor q-commutation: exponent ``-1`` when the outside label sits
@@ -67,31 +71,31 @@ def _cfg(n, K=None, L=None, **extra) -> dict:
     return out
 
 
+def generator_position(K: Sequence[int], L: Sequence[int], k: int, l: int) -> str:
+    """Where ``t[k,l]`` sits relative to the minor on rows ``K`` and columns ``L``:
+    ``central`` (both labels inside), ``{row,col}-outside-{below,above}`` (one
+    inside, the other outside the range of its set: q-commuting),
+    ``column-gap``/``row-gap`` (the row/column label inside, the other within
+    the range of its set) or ``outside``.  The generator checks' guards and
+    the constructive witness engine dispatch on it."""
+    row_in, col_in = k in K, l in L
+    if row_in and col_in:
+        return "central"
+    if row_in:
+        return "col-outside-below" if l < min(L) else "col-outside-above" if l > max(L) else "column-gap"
+    if col_in:
+        return "row-outside-below" if k < min(K) else "row-outside-above" if k > max(K) else "row-gap"
+    return "outside"
+
+
 def check_centrality(n: int, K: Sequence[int], L: Sequence[int], k: int, l: int) -> CheckResult:
     """Generators indexed inside both sets commute with the minor exactly."""
     K, L = tuple(K), tuple(L)
     cfg = _cfg(n, K, L, k=k, l=l)
-    if k not in K or l not in L:
+    if generator_position(K, L, k, l) != "central":
         return CheckResult("centrality", cfg, NOT_APPLICABLE)
-    D = quantum_minor(n, K, L)
-    t = Element.generator(n, k, l)
-    residual = t * D - D * t
+    residual = commutator(Element.generator(n, k, l), quantum_minor(n, K, L))
     return CheckResult("centrality", cfg, VERIFIED if residual.is_zero() else FAILED, residual)
-
-
-def _qcomm_geometry(K: tuple, L: tuple, k: int, l: int) -> Optional[str]:
-    row_in, col_in = k in K, l in L
-    if col_in and not row_in:
-        if k < min(K):
-            return "row-outside-below"
-        if k > max(K):
-            return "row-outside-above"
-    elif row_in and not col_in:
-        if l < min(L):
-            return "col-outside-below"
-        if l > max(L):
-            return "col-outside-above"
-    return None
 
 
 def check_qcommutation(n: int, K: Sequence[int], L: Sequence[int], k: int, l: int) -> CheckResult:
@@ -99,8 +103,8 @@ def check_qcommutation(n: int, K: Sequence[int], L: Sequence[int], k: int, l: in
     the other lies outside the range of its set; the exponent is measured."""
     K, L = tuple(K), tuple(L)
     cfg = _cfg(n, K, L, k=k, l=l)
-    geometry = _qcomm_geometry(K, L, k, l)
-    if geometry is None:
+    geometry = generator_position(K, L, k, l)
+    if not geometry.endswith(("below", "above")):
         return CheckResult("q-commutation", cfg, NOT_APPLICABLE)
     D = quantum_minor(n, K, L)
     t = Element.generator(n, k, l)
@@ -124,7 +128,7 @@ def check_muir(n: int, K: Sequence[int], L: Sequence[int], Lprime: Sequence[int]
     DL = quantum_minor(n, K, L)
     DLp = quantum_minor(n, K, Lp)
     if not diff:
-        residual = DL * DLp - DLp * DL
+        residual = commutator(DL, DLp)
         conv = {"exponent": 0, "geometry": "identical"}
         return CheckResult("muir", cfg, VERIFIED if residual.is_zero() else FAILED, residual, conv)
     removed = (set(L) - set(Lp)).pop()
@@ -135,7 +139,7 @@ def check_muir(n: int, K: Sequence[int], L: Sequence[int], Lprime: Sequence[int]
         residual = Element.zero(n)
         status = VERIFIED
     else:
-        residual = DL * DLp - DLp * DL
+        residual = commutator(DL, DLp)
         status = FAILED
     return CheckResult("muir", cfg, status, residual, {"geometry": geometry, "exponent": r})
 
@@ -178,15 +182,16 @@ def check_gap_one(n: int, K: Sequence[int], L: Sequence[int], k: int, l: int) ->
     """
     K, L = tuple(K), tuple(sorted(L))
     cfg = _cfg(n, K, L, k=k, l=l)
-    if k not in K or l in L or len(L) < 2 or not (L[0] < l < L[1]):
+    if generator_position(K, L, k, l) != "column-gap" or gap_index(L, l) != 1:
         return CheckResult("gap-one", cfg, NOT_APPLICABLE)
     lhs = _gap_lhs(n, K, L, k, l)
-    Lp = tuple(sorted((set(L) - {L[0]}) | {l}))
+    # the general-gap expansion at gap index 1 is this one term
+    ((coeff, (row, col), Lp),) = gap_correction_terms(n, K, L, k, l)
     Dp = quantum_minor(n, K, Lp)
-    t1 = Element.generator(n, k, L[0])
+    t1 = Element.generator(n, row, col)
     candidates = [
-        ("generator-first", (t1 * Dp).scale(_GAP_COEFF)),
-        ("minor-first", (Dp * t1).scale(_GAP_COEFF)),
+        ("generator-first", (t1 * Dp).scale(coeff)),
+        ("minor-first", (Dp * t1).scale(coeff)),
     ]
     for name, rhs in candidates:
         residual = lhs - rhs
@@ -213,7 +218,7 @@ def check_gap_r(n: int, K: Sequence[int], L: Sequence[int], k: int, l: int, r: i
     """
     K, L = tuple(K), tuple(sorted(L))
     cfg = _cfg(n, K, L, k=k, l=l, r=r)
-    if k not in K or l in L or not (1 <= r < len(L)) or not (L[r - 1] < l < L[r]):
+    if generator_position(K, L, k, l) != "column-gap" or r != gap_index(L, l):
         return CheckResult("gap-r", cfg, NOT_APPLICABLE)
     lhs = _gap_lhs(n, K, L, k, l)
     for reading in GAP_READINGS:
@@ -236,15 +241,31 @@ def gap_correction_terms(n: int, K: tuple, L: tuple, k: int, l: int) -> list[tup
     raises ValueError on a mismatch), and the returned witness is replayed.
     """
     L = tuple(sorted(L))
-    r = sum(1 for x in L if x < l)
-    return _gap_terms(K, L, k, l, r, **GAP_READINGS[0])
+    return _gap_terms(K, L, k, l, gap_index(L, l), **GAP_READINGS[0])
+
+
+def gap_index(L: Sequence[int], l: int) -> int:
+    """The ``r`` with ``l_r < l < l_{r+1}``: how many labels of ``L`` lie below ``l``."""
+    return sum(1 for x in L if x < l)
 
 
 # -- subalgebra membership (outside-generator commutators) ----------------------
 
 
-def _e0_generators(n: int, K: tuple, L: tuple) -> set[tuple[int, int]]:
-    return {(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i in K or j in L}
+def commutator_terms(t: Element, terms: Iterable[tuple[LaurentQ, tuple]]) -> list[tuple]:
+    """The letter-by-letter expansion of ``t e - e t`` for a generator ``t`` and
+    ``e = sum coeff * word`` (words need not be normal-ordered).  Each letter's
+    commutator with ``t`` is zero or one term ``lam * pair``; for every nonzero
+    one this gives ``(word, position, (coeff * lam, word with pair at position))``."""
+    out = []
+    for coeff, w in terms:
+        for i, g in enumerate(w):
+            comm = commutator(t, Element.generator(t.n, *g))
+            if comm.is_zero():
+                continue
+            ((pair, lam),) = comm.terms()
+            out.append((w, i, (coeff * lam, w[:i] + pair + w[i + 1 :])))
+    return out
 
 
 def check_E0_membership(
@@ -258,19 +279,19 @@ def check_E0_membership(
     the subalgebra generated by the letters with row in K or column in L.
 
     ``e`` is given as a term list over that subalgebra's generators (words
-    need not be normal-ordered).  The commutator is expanded letter by letter;
-    each elementary commutator is either zero or proportional to a product of
-    two generators, and the leaf certifies when both of those generators are
-    again subalgebra generators.  The residual is the sum of the offending
+    need not be normal-ordered).  The commutator is expanded letter by letter
+    (:func:`commutator_terms`); each elementary commutator is either zero or
+    proportional to a product of two generators, and the leaf certifies when
+    both of those generators are again subalgebra generators.  The residual is the sum of the offending
     leaf contributions, so the check verifies exactly when every leaf
     certifies (or the offenders cancel).
     """
     K, L = tuple(K), tuple(L)
     kp, lp = outside
     cfg = _cfg(n, K, L, outside=[kp, lp])
-    e0 = _e0_generators(n, K, L)
-    if (kp, lp) in e0:
+    if generator_position(K, L, kp, lp) != "outside":
         return CheckResult("e0-membership", cfg, NOT_APPLICABLE)
+    e0 = {(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if generator_position(K, L, i, j) != "outside"}
     tp = Element.generator(n, kp, lp)
 
     e_terms = [(LaurentQ.coerce(c), tuple(tuple(g) for g in w)) for c, w in e_terms]
@@ -282,28 +303,24 @@ def check_E0_membership(
     leaves = []
     obstruction = Element.zero(n)
     replay = Element.zero(n)
-    for coeff, w in e_terms:
-        for i, g in enumerate(w):
-            elem_comm = commutator(tp, Element.generator(n, *g))
-            if elem_comm.is_zero():
-                continue
-            # one term lam * pair, pair proportional to t[kp, g.col] t[g.row, lp]
-            ((pair, lam),) = elem_comm.terms()
-            contribution = Element(n, [(w[:i] + pair + w[i + 1 :], coeff * lam)])
-            replay = replay + contribution
-            f1, f2 = (kp, g[1]), (g[0], lp)
-            ok = f1 in e0 and f2 in e0
-            leaves.append(
-                {
-                    "word": [list(x) for x in w],
-                    "position": i,
-                    "letter": list(g),
-                    "factors": [list(f1), list(f2)],
-                    "factors_in_subalgebra": ok,
-                }
-            )
-            if not ok:
-                obstruction = obstruction + contribution
+    for w, i, (c, word) in commutator_terms(tp, e_terms):
+        contribution = Element(n, [(word, c)])
+        replay = replay + contribution
+        # the pair is proportional to t[kp, g.col] t[g.row, lp]
+        g = w[i]
+        f1, f2 = (kp, g[1]), (g[0], lp)
+        ok = f1 in e0 and f2 in e0
+        leaves.append(
+            {
+                "word": [list(x) for x in w],
+                "position": i,
+                "letter": list(g),
+                "factors": [list(f1), list(f2)],
+                "factors_in_subalgebra": ok,
+            }
+        )
+        if not ok:
+            obstruction = obstruction + contribution
 
     # internal soundness: the expansion reproduces the commutator exactly
     if replay != commutator(tp, Element(n, [(w, coeff) for coeff, w in e_terms])):
@@ -395,9 +412,8 @@ def run_suite(n_max: int = 4, size_cap: Optional[int] = 3, include_membership: b
         for k in range(1, n + 1):
             for l in range(1, n + 1):
                 # the guards of the generator checks decide which apply
-                r = sum(1 for x in L if x < l)
                 for res in (check_centrality(n, K, L, k, l), check_qcommutation(n, K, L, k, l),
-                            check_gap_r(n, K, L, k, l, r), check_gap_one(n, K, L, k, l)):
+                            check_gap_r(n, K, L, k, l, gap_index(L, l)), check_gap_one(n, K, L, k, l)):
                     if res.status != NOT_APPLICABLE:
                         results.append(res)
         # minors differing in one column label
@@ -413,7 +429,7 @@ def run_suite(n_max: int = 4, size_cap: Optional[int] = 3, include_membership: b
                 (i, j)
                 for i in range(1, n + 1)
                 for j in range(1, n + 1)
-                if i not in K and j not in L
+                if generator_position(K, L, i, j) == "outside"
             ]
             words: list[tuple] = [()]
             for length in range(1, MEMBERSHIP_WORD_LEN + 1):

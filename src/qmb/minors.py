@@ -94,17 +94,14 @@ def quantum_minor_columns(n: int, rows: Iterable[int], col_list: Sequence[int]) 
 
 def quantum_minor(n: int, rows: Iterable[int], cols: Iterable[int]) -> Element:
     """The quantum minor ``D`` for sorted row and column sets."""
-    rows = index_set(rows)
-    cols = index_set(cols)
-    if len(rows) != len(cols):
-        raise ValueError("row and column sets must have equal cardinality")
-    if rows[-1] > n or cols[-1] > n:
-        raise ValueError(f"labels exceed the matrix size n = {n}")
-    return quantum_minor_columns(n, rows, cols)
+    return minor_element(n, MinorId(rows, cols))
 
 
 def minor_element(n: int, minor: MinorId) -> Element:
-    return quantum_minor(n, minor.rows, minor.cols)
+    """The expanded minor: the one check of its labels against ``n`` (``MinorId`` checks the rest)."""
+    if minor.rows[-1] > n or minor.cols[-1] > n:
+        raise ValueError(f"labels exceed the matrix size n = {n}")
+    return _minor_columns_cached(n, minor.rows, minor.cols)
 
 
 def column_replace(labels: Iterable[int], position: int, label: int) -> IndexSet:

@@ -23,7 +23,9 @@ Two independent routes produce witnesses:
   infeasibility evidence);
 * :func:`witness_generator_constructive` / :func:`witness_for_element`:
   composition of the verified commutation identities, never solving a
-  generic linear system.
+  generic linear system.  It dispatches on the sweep's own statements:
+  ``generator_position``, ``gap_correction_terms`` and ``commutator_terms``
+  of :mod:`qmb.identities`.
 """
 
 from __future__ import annotations
@@ -31,14 +33,15 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 from functools import lru_cache, partial, reduce
+from itertools import count
 from typing import Optional, Sequence
 
 from .algebra import Element, _check_cap, basis_monomials, commutator
-from .exprparse import ExprSyntaxError, parse_element
-from .identities import gap_correction_terms
+from .exprparse import ExprSyntaxError, parse_element, parse_laurent
+from .identities import commutator_terms, gap_correction_terms, generator_position
 from .linalg import clear_denominators, solve_linear
 from .minors import MinorId, minor_element, qcommutation_probe
-from .scalars import ONE, QINV, LaurentQ, parse_laurent
+from .scalars import ONE, QINV, LaurentQ
 
 LEFT = "left-form"
 RIGHT = "right-form"
@@ -211,15 +214,15 @@ def solve_witness(
 
     Scans powers upward; every infeasible smaller power is recorded with the
     rank evidence.  Inhomogeneous elements are split by multidegree and the
-    component witnesses summed.
+    component witnesses summed.  Without ``m_max`` the scan ends at a witness
+    or at the degree cap (``DegreeCapError``); with it, past ``m_max``
+    (``UnsatWithinBound``).
     """
     _check_side(side)
     if element.is_zero():
         raise ValueError("cannot witness the zero element")
     if element.n != n:
         raise ValueError("element size does not match n")
-    if m_max is None:
-        m_max = minor.size() + max(element.degree(), 0)
     if element.multidegree() is None:
         comps = list(element.homogeneous_components().values())
         witnesses = [_solve_homogeneous(n, minor, c, side, m_max) for c in comps]
@@ -230,9 +233,9 @@ def solve_witness(
     return out.certify()
 
 
-def _solve_homogeneous(n: int, minor: MinorId, element: Element, side: str, m_max: int) -> OreWitness:
+def _solve_homogeneous(n: int, minor: MinorId, element: Element, side: str, m_max: Optional[int]) -> OreWitness:
     infeasible: list[dict] = []
-    for m in range(1, m_max + 1):
+    for m in count(1) if m_max is None else range(1, m_max + 1):
         solved, record = _solve_at_power(n, minor, element, side, m)
         if solved is None:
             infeasible.append(record)
@@ -486,65 +489,54 @@ def _generator_witness(n: int, minor: MinorId, k: int, l: int, side: str) -> Ore
 
     K, L = minor.rows, minor.cols
     D = minor_element(n, minor)
-    row_in, col_in = k in K, l in L
+    position = generator_position(K, L, k, l)
 
-    if row_in and col_in:
+    if position == "central":
         return t_witness(power=1, cofactor=t, derivation=_node("central", {"k": k, "l": l}))
-    if (row_in and (l < min(L) or l > max(L))) or (col_in and (k < min(K) or k > max(K))):
-        e = qcommutation_probe(t, D)
-        if e is None:
-            raise CertificateError(f"expected q-commutation of t[{k},{l}] with {minor.label()}")
-        return t_witness(
-            power=1, cofactor=t.scale(LaurentQ.q_power(-e)),
-            derivation=_node("q-commute", {"k": k, "l": l, "exponent": e}),
-        )
-    if row_in:
-        # column gap: the commutation defect expands over minors with one
-        # replaced column label, each q-commuting with D
-        terms = gap_correction_terms(n, K, L, k, l)
+    if position == "column-gap":
+        # the commutation defect expands over minors with one replaced column
+        # label, each q-commuting with D
         w_terms = []
-        for coeff, (row, col), Lp in terms:
+        for coeff, (row, col), Lp in gap_correction_terms(n, K, L, k, l):
             w_t = witness_generator_constructive(n, minor, row, col, LEFT)
-            Dp = minor_element(n, MinorId(K, Lp))
-            eps = qcommutation_probe(Dp, D)
-            if eps is None:
-                raise CertificateError(f"replaced-column minor does not q-commute with {minor.label()}")
-            w_D = OreWitness(
-                n=n, minor=minor, element=Dp, side=LEFT, power=1,
-                cofactor=Dp.scale(LaurentQ.q_power(-eps)),
-                derivation=_node("q-commute", {"minor": MinorId(K, Lp).label(), "exponent": eps}),
-            )
+            replaced = MinorId(K, Lp)
+            w_D = _qcommuting_witness(minor, minor_element(n, replaced), D, {"minor": replaced.label()})
             w_terms.append(_scale_witness(_compose_product(w_t, w_D), coeff))
         # pair: q^-1 t clears D up to the (negated) defect
         w_neg = _scale_witness(reduce(_compose_sum, w_terms), LaurentQ(-1))
         out = _reduce_relative(n, minor, t, (t.scale(QINV), 1), w_neg, LEFT)
         return replace(out, derivation=_node("gap-recursion", {"k": k, "l": l}, [out.derivation]))
-    if col_in:
-        # row gap: transpose to a column gap for the transposed minor
+    if position == "row-gap":
+        # transpose to a column gap for the transposed minor
         left = witness_generator_constructive(n, MinorId(L, K), l, k, LEFT)
         return t_witness(
             power=left.power, cofactor=left.cofactor.transpose(), scale=left.scale,
             derivation=_node("transposed-gap", {"k": k, "l": l}, [left.derivation]),
         )
+    if position != "outside":  # one label inside, the other outside its set's range
+        return _qcommuting_witness(minor, t, D, {"k": k, "l": l})
     # outside on both indices: the commutator with D expands over words in
     # the subalgebra generated by letters sharing a row with K or a column
     # with L, all of which are already witnessed
-    defect = commutator(t, D)  # t D - D t
-    if defect.is_zero():
+    if commutator(t, D).is_zero():
         return t_witness(power=1, cofactor=t,
                          derivation=_node("central", {"k": k, "l": l, "note": "commutes outright"}))
-    expr_terms: list[tuple[LaurentQ, tuple]] = []
-    for word, c_w in D.terms():
-        for i, g in enumerate(word):
-            comm = commutator(t, Element.generator(n, *g))
-            if comm.is_zero():
-                continue
-            ((pair_word, lam),) = comm.terms()
-            expr_terms.append((c_w * lam, word[:i] + pair_word + word[i + 1 :]))
+    expansion = [term for _, _, term in commutator_terms(t, [(c, w) for w, c in D.terms()])]
     # _reduce_relative compares the expansion with the defect exactly
-    w_defect = _witness_for_terms(n, minor, expr_terms, LEFT)
+    w_defect = _witness_for_terms(n, minor, expansion, LEFT)
     out = _reduce_relative(n, minor, t, (t, 1), w_defect, LEFT)
     return replace(out, derivation=_node("outside", {"k": k, "l": l}, [out.derivation]))
+
+
+def _qcommuting_witness(minor: MinorId, x: Element, D: Element, detail: dict) -> OreWitness:
+    """Power-1 left witness ``D x == q^-e x D`` for the measured exponent ``e``."""
+    e = qcommutation_probe(x, D)
+    if e is None:
+        raise CertificateError(f"expected {x.render()} to q-commute with {minor.label()}")
+    return OreWitness(
+        n=x.n, minor=minor, element=x, side=LEFT, power=1, cofactor=x.scale(LaurentQ.q_power(-e)),
+        derivation=_node("q-commute", {**detail, "exponent": e}),
+    )
 
 
 def _witness_for_word(n: int, minor: MinorId, word: tuple, side: str) -> OreWitness:
@@ -555,8 +547,7 @@ def _witness_for_word(n: int, minor: MinorId, word: tuple, side: str) -> OreWitn
             n=n, minor=minor, element=Element.unit(n), side=side, power=1,
             cofactor=Element.unit(n), derivation=_node("unit"),
         )
-    K, L = minor.rows, minor.cols
-    if all(g[0] in K and g[1] in L for g in word):
+    if all(generator_position(minor.rows, minor.cols, *g) == "central" for g in word):
         elem = Element(n, [(word, 1)])
         return OreWitness(
             n=n, minor=minor, element=elem, side=side, power=1, cofactor=elem,
@@ -602,11 +593,6 @@ def witness_for_element(
     ``solver`` solves componentwise; ``both`` runs the two routes and
     cross-validates (both certificates must replay; powers may differ), and
     returns the solver witness."""
-    _check_side(side)
-    if element.is_zero():
-        raise ValueError("cannot witness the zero element")
-    if element.n != n:
-        raise ValueError("element size does not match n")
     if strategy == "solver":
         return solve_witness(n, minor, element, side, m_max)
     if strategy == "both":
@@ -619,6 +605,11 @@ def witness_for_element(
         ))
     if strategy != "constructive":
         raise ValueError(f"unknown strategy {strategy!r}")
+    _check_side(side)
+    if element.is_zero():
+        raise ValueError("cannot witness the zero element")
+    if element.n != n:
+        raise ValueError("element size does not match n")
     return _witness_constructive(n, minor, element, side).certify()
 
 
@@ -690,7 +681,6 @@ def multi_minor_witness(
     each successive cofactor against the minor before it, so the set element
     on the cleared side is the product in the given order.
     """
-    _check_side(side)
     if not minors:
         raise ValueError("need at least one minor")
     links: list[OreWitness] = []

@@ -21,7 +21,6 @@ from typing import Iterable, Mapping, Union
 ScalarLike = Union[int, Fraction, "LaurentQ"]
 
 _FR_ZERO = Fraction(0)
-_FR_ONE = Fraction(1)
 
 
 def _norm_coeff(c):
@@ -504,43 +503,3 @@ class QRational:
 
     def __repr__(self) -> str:
         return f"QRational({self.render()!r})"
-
-
-# -- parsing -----------------------------------------------------------------
-
-
-def parse_laurent(text: str) -> LaurentQ:
-    """Parse the canonical Laurent text form back, bit-exactly.
-
-    Grammar: signed terms joined by ``+``/``-``; each term is ``c``, ``q^e``,
-    or ``c*q^e`` with ``c`` an integer or ``a/b`` fraction (``b`` nonzero)
-    and ``e`` an integer; ``q^1`` is written ``q``.
-    """
-    s = text.strip()
-    if s == "0":
-        return _ZERO
-    import re
-
-    token = re.compile(
-        r"\s*(?P<sign>[+-])?\s*"
-        r"(?:(?P<coeff>\d+(?:/\d*[1-9]\d*)?)\s*(?:\*\s*(?P<qpart1>q(?:\^-?\d+)?))?"
-        r"|(?P<qpart2>q(?:\^-?\d+)?))"
-    )
-    pos = 0
-    terms: list[tuple[int, Fraction]] = []
-    first = True
-    while pos < len(s):
-        m = token.match(s, pos)
-        if not m or (not first and m.group("sign") is None):
-            raise ValueError(f"bad Laurent text {text!r} at offset {pos}")
-        sign = -1 if m.group("sign") == "-" else 1
-        coeff = m.group("coeff")
-        qpart = m.group("qpart1") or m.group("qpart2")
-        c = Fraction(coeff) if coeff else _FR_ONE
-        e = 0
-        if qpart:
-            e = 1 if qpart == "q" else int(qpart[2:])
-        terms.append((e, sign * c))
-        pos = m.end()
-        first = False
-    return LaurentQ(terms)

@@ -92,6 +92,39 @@ class TestMinorVerb:
         assert "positive integer" in capsys.readouterr().err
 
 
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv", [
+        ("ore", "--n", "2", "--minor-rows", "2", "--minor-cols", "2", "--elem", "t[1,1]", "--max-power", "0"),
+        ("ore", "--n", "2", "--minor-rows", "2", "--minor-cols", "2", "--elem", "t[1,1]", "--max-power", "-3"),
+        ("suite", "--n", "2", "--size-cap", "0"),
+    ], ids=["max-power-0", "max-power-negative", "size-cap-0"])
+    def test_nonpositive_bound_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == EXIT_USAGE
+        assert "positive integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ("identity", "--n", "3", "--kind", "centrality", "--rows", "1", "--cols", "1"),
+        ("identity", "--n", "3", "--kind", "muir", "--rows", "1", "--cols", "1"),
+        ("identity", "--n", "3", "--kind", "membership", "--rows", "1", "--cols", "1", "--k", "3", "--l", "3"),
+        ("ore", "--n", "3", "--minor-rows", "1", "--minor-rows", "2", "--minor-cols", "1", "--elem", "t[1,1]"),
+    ], ids=["missing-k-l", "missing-cols2", "missing-element", "unequal-minor-labels"])
+    def test_usage_error_exit(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert out == "" and err.startswith("qmb: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ("ore", "--n", "2", "--minor-rows", "2", "--minor-cols", "2", "--elem", "t[1,1]"),
+        ("identity", "--n", "3", "--kind", "centrality", "--rows", "1", "--cols", "1", "--k", "1", "--l", "1"),
+    ], ids=["ore", "identity"])
+    def test_format_only_on_verbs_that_honour_it(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--format", "text"])
+        assert exc.value.code == EXIT_USAGE
+
+
 class TestCommutatorVerb:
     def test_example(self, capsys):
         code, out, _ = run(capsys, "commutator", "--n", "2", "t[1,1]", "t[2,2]")
@@ -176,6 +209,24 @@ class TestOreVerb:
         )
         assert code == EXIT_UNSAT
 
+    def test_default_scan_passes_the_old_power_guess(self, capsys, tmp_path):
+        # power 5 is minimal, above minor size + element degree = 4
+        path = tmp_path / "w.json"
+        argv = ["ore", "--n", "3", "--minor-rows", "1,3", "--minor-cols", "1,3",
+                "--elem", "t[2,2] t[2,2]", "--side", "left", "--strategy", "solver"]
+        code, _, _ = run(capsys, *argv, "--out", str(path))
+        assert code == EXIT_OK
+        assert json.loads(path.read_text())["power"] == 5
+        assert run(capsys, "verify-witness", str(path))[0] == EXIT_OK
+        assert run(capsys, *argv, "--max-power", "4")[0] == EXIT_UNSAT
+
+    def test_default_scan_ends_at_the_degree_cap(self, capsys, monkeypatch):
+        monkeypatch.setenv("QMB_MAX_DEGREE", "8")
+        code, _, err = run(capsys, "ore", "--n", "3", "--minor-rows", "1,3", "--minor-cols", "1,3",
+                           "--elem", "t[2,2] t[2,2]", "--strategy", "solver")
+        assert code == EXIT_DEGREE_CAP
+        assert err.startswith("qmb: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("changes, expected", [
         ({"power": 3, "infeasible_powers": []}, EXIT_CHECK_FAILED),
         ({"power": 3}, EXIT_PRECONDITION),  # power 2 is feasible but not listed
@@ -201,13 +252,14 @@ class TestOreVerb:
         ({"scale": "1/0"}, EXIT_PRECONDITION),
         ({"cofactor": "(" * 300 + "t[1,1]" + ")" * 300}, EXIT_PRECONDITION),
         ({"minor": {"rows": [True], "cols": [2]}}, EXIT_PRECONDITION),
+        ({"scale": "t[1,1]"}, EXIT_PRECONDITION),
     ], ids=["wrong-power", "partial-infeasible", "unknown-side", "negative-power", "zero-powers",
             "zero-target-power", "zero-scale", "zero-element", "missing-key", "huge-power", "zero-n",
             "unparsable-cofactor",
             "bad-infeasible-non-list", "bad-infeasible-at-power", "bad-infeasible-repeated",
             "bad-infeasible-non-integer", "infeasible-inhomogeneous", "wrong-denominator-zeros",
             "float-power", "bool-target-power", "float-n", "zero-denominator-scale", "deep-nesting",
-            "bool-label"])
+            "bool-label", "word-scale"])
     def test_tampered_witness_exit(self, capsys, tmp_path, changes, expected):
         path = tmp_path / "w.json"
         run(

@@ -16,7 +16,9 @@ from qmb.identities import (
     check_gap_r,
     check_muir,
     check_qcommutation,
+    commutator_terms,
     gap_correction_terms,
+    generator_position,
     run_suite,
 )
 from qmb.minors import quantum_minor
@@ -160,6 +162,47 @@ class TestGapR:
         for coeff, (row, col), Lp in terms:
             rhs = rhs + (Element.generator(n, row, col) * quantum_minor(n, K, Lp)).scale(coeff)
         assert lhs == rhs
+
+
+class TestGeneratorPosition:
+    @pytest.mark.parametrize("k,l,position", [
+        (2, 2, "central"),
+        (1, 2, "row-outside-below"),
+        (5, 4, "row-outside-above"),
+        (2, 1, "col-outside-below"),
+        (4, 5, "col-outside-above"),
+        (2, 3, "column-gap"),
+        (3, 2, "row-gap"),
+        (3, 3, "outside"),
+        (1, 5, "outside"),
+    ])
+    def test_positions(self, k, l, position):
+        assert generator_position((2, 4), (2, 4), k, l) == position
+
+    def test_guards_follow_the_position(self):
+        # each generator check applies exactly where its position says
+        n, K, L = 4, (1, 3), (2, 4)
+        for k in range(1, n + 1):
+            for l in range(1, n + 1):
+                position = generator_position(K, L, k, l)
+                applies = {
+                    "central": check_centrality(n, K, L, k, l).status != NOT_APPLICABLE,
+                    "q-commuting": check_qcommutation(n, K, L, k, l).status != NOT_APPLICABLE,
+                    "column-gap": check_gap_one(n, K, L, k, l).status != NOT_APPLICABLE,
+                }
+                assert applies["central"] == (position == "central")
+                assert applies["q-commuting"] == position.endswith(("-below", "-above"))
+                assert applies["column-gap"] == (position == "column-gap")
+
+
+def test_commutator_terms_sum_to_the_commutator():
+    n = 3
+    t = Element.generator(n, 3, 3)
+    terms = [(ONE, ((1, 2), (2, 1))), (QINV, ((1, 1),)), (ONE, ((1, 3), (3, 1), (2, 2)))]
+    expansion = commutator_terms(t, terms)
+    assert all(len(word) == len(w) + 1 for w, _, (_, word) in expansion)
+    total = sum((Element(n, [(word, c)]) for _, _, (c, word) in expansion), Element.zero(n))
+    assert total == commutator(t, Element(n, [(w, c) for c, w in terms]))
 
 
 class TestMembership:

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmb.scalars import ONE, Q, QINV, Q_MINUS_QINV, LaurentQ, QRational, parse_laurent
+from qmb.exprparse import ExprSyntaxError, parse_laurent
+from qmb.scalars import ONE, Q, QINV, Q_MINUS_QINV, LaurentQ, QRational
 
 
 def L(**terms):
@@ -123,6 +124,10 @@ class TestRingAxioms:
     def test_zero_denominator_rejected(self, text):
         with pytest.raises(ValueError):
             parse_laurent(text)
+
+    def test_word_rejected(self):
+        with pytest.raises(ExprSyntaxError):
+            parse_laurent("t[1,1]")
 
 
 class TestDivexact:
