@@ -2,8 +2,8 @@
 
 Batch verbs only; every invocation fixes one algebra size with ``--n``.
 Exit codes: 0 success, 2 usage or expression syntax error, 3 precondition
-failure, 4 no witness within the power bound, 5 check or certificate
-failure, 6 degree cap exceeded.
+failure or an OS error on a file, 4 no witness within the power bound, 5
+check or certificate failure, 6 degree cap or minor-size bound exceeded.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from .algebra import ContextMismatchError, DegreeCapError
+from .algebra import DegreeCapError
 from .exprparse import ExprSyntaxError, parse_element
 from .identities import (
     NOT_APPLICABLE,
@@ -31,6 +31,7 @@ from .ore import (
     LEFT,
     RIGHT,
     CertificateError,
+    ChainWitness,
     UnsatWithinBound,
     multi_minor_witness,
     verify_witness_file,
@@ -153,7 +154,7 @@ def _cmd_ore(args) -> int:
         w = witness_for_element(args.n, minors[0], elem, side, args.strategy, m_max=args.max_power)
         data = w.to_json()
     else:
-        chain = multi_minor_witness(args.n, minors, elem, side, strategy=args.strategy)
+        chain = multi_minor_witness(args.n, minors, elem, side, args.strategy, m_max=args.max_power)
         data = chain.to_json()
     _emit(data, "json", args.out)
     return EXIT_OK
@@ -161,7 +162,8 @@ def _cmd_ore(args) -> int:
 
 def _cmd_verify_witness(args) -> int:
     w = verify_witness_file(args.path)
-    _emit({"path": args.path, "certified": True, "power": w.power, "side": w.side}, "json", None)
+    power = {"powers": w.powers} if isinstance(w, ChainWitness) else {"power": w.power}
+    _emit({"path": args.path, "certified": True, **power, "side": w.side}, "json", None)
     return EXIT_OK
 
 
@@ -249,13 +251,13 @@ def main(argv=None) -> int:
     except UnsatWithinBound as exc:
         print(f"qmb: {exc}", file=sys.stderr)
         return EXIT_UNSAT
-    except (CertificateError,) as exc:
+    except CertificateError as exc:
         print(f"qmb: certificate failure: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
     except DegreeCapError as exc:
         print(f"qmb: {exc}", file=sys.stderr)
         return EXIT_DEGREE_CAP
-    except (ValueError, ContextMismatchError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"qmb: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
 

@@ -16,6 +16,11 @@ intermediate witnesses produced by :func:`extend_to_power`.  Every public
 function replays the equation of the witness it returns exactly once, by an
 independent normal-form computation, so no uncertified witness ever escapes.
 
+A :class:`ChainWitness` clears an element against an ordered product of
+minors.  It keeps only its links, one single-minor witness per minor; its
+powers, scale and cofactor follow from them.  Both classes replay one
+equation (:func:`_residual`) and share one file reader and one checker.
+
 Two independent routes produce witnesses:
 
 * :func:`solve_witness`: exact linear algebra in the multidegree-forced
@@ -31,6 +36,7 @@ Two independent routes produce witnesses:
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field, replace
 from functools import lru_cache, partial, reduce
 from itertools import count
@@ -75,6 +81,31 @@ def _minor_power(n: int, minor: MinorId, k: int) -> Element:
     return _minor_power(n, minor, k - 1) * minor_element(n, minor)
 
 
+def _residual(w, scaled: list, cleared: list) -> Element:
+    """The two sides of ``w``'s equation subtracted.  ``scaled`` and ``cleared``
+    list ``(minor, power)`` factors, whose products ``P`` and ``C`` stand in
+    ``scale * P * element == cofactor * C`` (left form) or
+    ``scale * element * P == C * cofactor`` (right form)."""
+    P, C = (reduce(operator.mul, [_minor_power(w.n, m, k) for m, k in pairs]) for pairs in (scaled, cleared))
+    return _times(w.side, P, w.element).scale(w.scale) - _times(w.side, w.cofactor, C)
+
+
+def _certify(w, scaled):
+    """A copy of ``w`` marked certified once its equation replays to zero."""
+    res = w.residual()
+    if not res.is_zero():
+        against = " ".join(f"{m.label()}^{k}" for m, k in scaled)
+        raise CertificateError(f"witness for {w.element.render()} against {against} ({w.side}) "
+                               f"has nonzero residual {res.render()}")
+    return replace(w, certified=True)
+
+
+def _json_head(w, schema: str) -> dict:
+    """The keys both witness schemas write."""
+    return {"schema": schema, "n": w.n, "element": w.element.render(), "side": w.side,
+            "scale": w.scale.render(), "cofactor": w.cofactor.render(), "certified": w.certified}
+
+
 @dataclass(frozen=True)
 class OreWitness:
     n: int
@@ -95,41 +126,35 @@ class OreWitness:
         return _factor_scale(self.scale)
 
     def residual(self) -> Element:
-        Dp = _minor_power(self.n, self.minor, self.power)
-        Dt = _minor_power(self.n, self.minor, self.target_power)
-        return _times(self.side, Dp, self.element).scale(self.scale) - _times(self.side, self.cofactor, Dt)
+        return _residual(self, [(self.minor, self.power)], [(self.minor, self.target_power)])
 
     def certify(self) -> "OreWitness":
         """A copy marked certified once the equation replays to zero."""
-        res = self.residual()
-        if not res.is_zero():
-            raise CertificateError(
-                f"witness for {self.element.render()} against {self.minor.label()} "
-                f"({self.side}, power {self.power}) has nonzero residual {res.render()}"
-            )
-        return replace(self, certified=True)
+        return _certify(self, [(self.minor, self.power)])
 
     def to_json(self) -> dict:
         return {
-            "schema": "qmb-witness-v1",
-            "n": self.n,
+            **_json_head(self, "qmb-witness-v1"),
             "minor": {"rows": list(self.minor.rows), "cols": list(self.minor.cols)},
-            "element": self.element.render(),
-            "side": self.side,
             "power": self.power,
             "target_power": self.target_power,
-            "scale": self.scale.render(),
-            "cofactor": self.cofactor.render(),
             "derivation": self.derivation,
             "denominator_zeros": [f.render() for f in self.denominator_zeros],
             "infeasible_powers": self.infeasible,
-            "certified": self.certified,
         }
 
 
 def _check_side(side: str) -> None:
     if side not in SIDES:
         raise ValueError(f"side must be one of {SIDES}, got {side!r}")
+
+
+def _check_question(n: int, element: Element, side: str) -> None:
+    _check_side(side)
+    if element.is_zero():
+        raise ValueError("cannot witness the zero element")
+    if element.n != n:
+        raise ValueError("element size does not match n")
 
 
 def _node(rule: str, detail: Optional[dict] = None, children: Optional[list[dict]] = None) -> dict:
@@ -190,15 +215,12 @@ def _factor_scale(scale: LaurentQ) -> list[LaurentQ]:
     expr = sum(sympy.Rational(c.numerator, c.denominator) * q**e for e, c in shifted.terms)
     factors = []
     for base, _mult in sympy.factor_list(sympy.Poly(expr, q))[1]:
-        poly = sympy.Poly(base, q)
-        if poly.degree() == 0:
-            continue
-        coeffs = poly.all_coeffs()[::-1]
+        coeffs = sympy.Poly(base, q).all_coeffs()[::-1]
         fac = LaurentQ(
             {i: Fraction(int(sympy.numer(v)), int(sympy.denom(v))) for i, v in enumerate(coeffs)}
         )
-        if fac.is_monomial() and fac.min_exp() > 0:
-            continue  # a bare power of q never vanishes at admissible q
+        if fac.is_monomial():
+            continue  # a constant or a bare power of q never vanishes at admissible q
         factors.append(fac)
     return factors
 
@@ -218,11 +240,7 @@ def solve_witness(
     or at the degree cap (``DegreeCapError``); with it, past ``m_max``
     (``UnsatWithinBound``).
     """
-    _check_side(side)
-    if element.is_zero():
-        raise ValueError("cannot witness the zero element")
-    if element.n != n:
-        raise ValueError("element size does not match n")
+    _check_question(n, element, side)
     if element.multidegree() is None:
         comps = list(element.homogeneous_components().values())
         witnesses = [_solve_homogeneous(n, minor, c, side, m_max) for c in comps]
@@ -275,17 +293,8 @@ def _scale_witness(w: OreWitness, factor: LaurentQ) -> OreWitness:
     factor = LaurentQ.coerce(factor)
     if factor.is_zero():
         raise ValueError("cannot witness the zero element")
-    return OreWitness(
-        n=w.n,
-        minor=w.minor,
-        element=w.element.scale(factor),
-        side=w.side,
-        power=w.power,
-        cofactor=w.cofactor.scale(factor),
-        scale=w.scale,
-        target_power=w.target_power,
-        derivation=_node("scale", {"factor": factor.render()}, [w.derivation]),
-    )
+    return replace(w, element=w.element.scale(factor), cofactor=w.cofactor.scale(factor), infeasible=[],
+                   certified=False, derivation=_node("scale", {"factor": factor.render()}, [w.derivation]))
 
 
 def scale_witness(w: OreWitness, factor: LaurentQ) -> OreWitness:
@@ -313,17 +322,8 @@ def _extend_to_power(w: OreWitness, j: int) -> OreWitness:
     pad = j * M - P
     if pad:
         R = _times(side, _minor_power(n, minor, pad), R)
-    return OreWitness(
-        n=n,
-        minor=minor,
-        element=w.element,
-        side=side,
-        power=j * M,
-        cofactor=R,
-        scale=S,
-        target_power=j,
-        derivation=_node("power", {"target": j, "pad": pad}, children),
-    )
+    return replace(w, power=j * M, cofactor=R, scale=S, target_power=j, infeasible=[], certified=False,
+                   derivation=_node("power", {"target": j, "pad": pad}, children))
 
 
 def extend_to_power(w: OreWitness, j: int) -> OreWitness:
@@ -337,28 +337,24 @@ def extend_to_power(w: OreWitness, j: int) -> OreWitness:
     return w if out is w else out.certify()
 
 
+def _combined(rule: str, w1: OreWitness, w2: OreWitness, element: Element, power: int, cofactor: Element):
+    """The witness that ``rule`` composes from ``w1`` and ``w2``; their scales multiply."""
+    return OreWitness(n=w1.n, minor=w1.minor, element=element, side=w1.side, power=power, cofactor=cofactor,
+                      scale=w1.scale * w2.scale, derivation=_node(rule, None, [w1.derivation, w2.derivation]))
+
+
 def _compose_product(w1: OreWitness, w2: OreWitness) -> OreWitness:
     _require_compatible(w1, w2)
-    n, minor, side = w1.n, w1.minor, w1.side
     element = w1.element * w2.element
     if element.is_zero():
         raise ValueError("product of witnessed elements is zero")
     # the side picks the factor whose witness is re-derived against the power
     # the other one consumes; the cofactors then chain in factor order
-    if side == LEFT:
+    if w1.side == LEFT:
         ext = w1 = _extend_to_power(w1, w2.power)
     else:
         ext = w2 = _extend_to_power(w2, w1.power)
-    return OreWitness(
-        n=n,
-        minor=minor,
-        element=element,
-        side=side,
-        power=ext.power,
-        cofactor=w1.cofactor * w2.cofactor,
-        scale=w1.scale * w2.scale,
-        derivation=_node("product", None, [w1.derivation, w2.derivation]),
-    )
+    return _combined("product", w1, w2, element, ext.power, w1.cofactor * w2.cofactor)
 
 
 def compose_product(w1: OreWitness, w2: OreWitness) -> OreWitness:
@@ -381,16 +377,7 @@ def _compose_sum(w1: OreWitness, w2: OreWitness) -> OreWitness:
     pad1 = _minor_power(n, minor, M - w1.power)
     pad2 = _minor_power(n, minor, M - w2.power)
     cofactor = _times(side, pad1, w1.cofactor).scale(w2.scale) + _times(side, pad2, w2.cofactor).scale(w1.scale)
-    return OreWitness(
-        n=n,
-        minor=minor,
-        element=element,
-        side=side,
-        power=M,
-        cofactor=cofactor,
-        scale=w1.scale * w2.scale,
-        derivation=_node("sum", None, [w1.derivation, w2.derivation]),
-    )
+    return _combined("sum", w1, w2, element, M, cofactor)
 
 
 def compose_sum(w1: OreWitness, w2: OreWitness) -> OreWitness:
@@ -605,15 +592,16 @@ def witness_for_element(
         ))
     if strategy != "constructive":
         raise ValueError(f"unknown strategy {strategy!r}")
-    _check_side(side)
-    if element.is_zero():
-        raise ValueError("cannot witness the zero element")
-    if element.n != n:
-        raise ValueError("element size does not match n")
+    _check_question(n, element, side)
     return _witness_constructive(n, minor, element, side).certify()
 
 
 # -- multi-minor chains --------------------------------------------------------------
+
+
+def _clearing_order(side: str, seq: Sequence) -> list:
+    """A chain's minors, or its links, in clearing order: last minor first in the left form."""
+    return list(seq[::-1] if side == LEFT else seq)
 
 
 @dataclass(frozen=True)
@@ -624,47 +612,45 @@ class ChainWitness:
                  == cofactor * (D_1 D_2 ... D_p)``
     Right form: ``scale * element * D_1^{a_1} ... D_p^{a_p}
                  == (D_1 D_2 ... D_p) * cofactor``
+
+    ``links`` are single-minor witnesses in clearing order, each clearing the
+    cofactor of the one before; ``powers``, ``scale`` and ``cofactor`` follow
+    from them.
     """
 
     n: int
     minors: list[MinorId]
     element: Element
     side: str
-    powers: list[int]
-    cofactor: Element
-    scale: LaurentQ
     links: list[OreWitness]
     certified: bool = False
 
+    @property
+    def powers(self) -> list[int]:
+        """``a_i``: the power of the link against ``D_i``."""
+        return [w.power for w in _clearing_order(self.side, self.links)]
+
+    @property
+    def scale(self) -> LaurentQ:
+        return reduce(operator.mul, [w.scale for w in self.links])
+
+    @property
+    def cofactor(self) -> Element:
+        return self.links[-1].cofactor
+
     def residual(self) -> Element:
-        n = self.n
-        Ds = [minor_element(n, m) for m in self.minors]
-        prod = Element.unit(n)
-        for D in Ds:
-            prod = prod * D
-        lhs_mult = Element.unit(n)
-        for m, a in zip(self.minors, self.powers):
-            lhs_mult = lhs_mult * _minor_power(n, m, a)
-        return _times(self.side, lhs_mult, self.element).scale(self.scale) - _times(self.side, self.cofactor, prod)
+        return _residual(self, list(zip(self.minors, self.powers)), [(m, 1) for m in self.minors])
 
     def certify(self) -> "ChainWitness":
-        res = self.residual()
-        if not res.is_zero():
-            raise CertificateError(f"chain witness residual is nonzero: {res.render()}")
-        return replace(self, certified=True)
+        """A copy marked certified once the equation replays to zero."""
+        return _certify(self, zip(self.minors, self.powers))
 
     def to_json(self) -> dict:
         return {
-            "schema": "qmb-chain-witness-v1",
-            "n": self.n,
+            **_json_head(self, "qmb-chain-witness-v1"),
             "minors": [{"rows": list(m.rows), "cols": list(m.cols)} for m in self.minors],
-            "element": self.element.render(),
-            "side": self.side,
             "powers": self.powers,
-            "scale": self.scale.render(),
-            "cofactor": self.cofactor.render(),
             "links": [w.to_json() for w in self.links],
-            "certified": self.certified,
         }
 
 
@@ -674,42 +660,32 @@ def multi_minor_witness(
     element: Element,
     side: str = LEFT,
     strategy: str = "constructive",
+    m_max: Optional[int] = None,
 ) -> ChainWitness:
     """Chained witness against the product of several minors.
 
     Left form clears the element first against the last minor, then clears
     each successive cofactor against the minor before it, so the set element
-    on the cleared side is the product in the given order.
+    on the cleared side is the product in the given order.  Each link is
+    ``witness_for_element`` with ``strategy`` and ``m_max``; the chain's
+    powers, scale and cofactor follow from its links.
     """
     if not minors:
         raise ValueError("need at least one minor")
     links: list[OreWitness] = []
-    powers: list[int] = [0] * len(minors)
-    scale = ONE
-    current = element
-    order = range(len(minors) - 1, -1, -1) if side == LEFT else range(len(minors))
-    for idx in order:
-        w = witness_for_element(n, minors[idx], current, side, strategy)
-        links.append(w)
-        powers[idx] = w.power
-        scale = scale * w.scale
-        current = w.cofactor
-    return ChainWitness(
-        n=n,
-        minors=list(minors),
-        element=element,
-        side=side,
-        powers=powers,
-        cofactor=current,
-        scale=scale,
-        links=links,
-    ).certify()
+    for minor in _clearing_order(side, minors):
+        current = links[-1].cofactor if links else element
+        links.append(witness_for_element(n, minor, current, side, strategy, m_max))
+    return ChainWitness(n=n, minors=list(minors), element=element, side=side, links=links).certify()
 
 
 # -- witness files ---------------------------------------------------------------------
 
+# each schema's keys that the reader re-derives from the rest of the file
+DERIVED_KEYS = {"qmb-witness-v1": ("denominator_zeros",), "qmb-chain-witness-v1": ("powers", "scale", "cofactor")}
 
-def witness_to_file(w: OreWitness, path: str) -> None:
+
+def witness_to_file(w: OreWitness | ChainWitness, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(w.to_json(), fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -723,52 +699,53 @@ def _json_int(data: dict, key: str) -> int:
     return value
 
 
-def witness_from_json(data: dict) -> OreWitness:
+def witness_from_json(data: dict) -> OreWitness | ChainWitness:
     """The (uncertified) witness a ``to_json`` dict states; every key that
-    ``to_json`` writes must be present."""
-    if data["schema"] != "qmb-witness-v1":
+    ``to_json`` writes must be present, and each of ``DERIVED_KEYS`` must be
+    what ``to_json`` derives.  A chain's links are single witnesses, each
+    clearing the cofactor before it against the next minor."""
+    if data["schema"] not in DERIVED_KEYS:
         raise ValueError(f"unsupported witness schema {data['schema']!r}")
     n = _json_int(data, "n")
-    w = OreWitness(
-        n=n,
-        minor=MinorId(tuple(data["minor"]["rows"]), tuple(data["minor"]["cols"])),
-        element=parse_element(data["element"], n),
-        side=data["side"],
-        power=_json_int(data, "power"),
-        cofactor=parse_element(data["cofactor"], n),
-        scale=parse_laurent(data["scale"]),
-        target_power=_json_int(data, "target_power"),
-        derivation=data["derivation"],
-        infeasible=data["infeasible_powers"],
-    )
-    missing = w.to_json().keys() - data.keys()
+    element = parse_element(data["element"], n)
+    if data["schema"] == "qmb-witness-v1":
+        w = OreWitness(
+            n=n,
+            minor=MinorId(tuple(data["minor"]["rows"]), tuple(data["minor"]["cols"])),
+            element=element,
+            side=data["side"],
+            power=_json_int(data, "power"),
+            cofactor=parse_element(data["cofactor"], n),
+            scale=parse_laurent(data["scale"]),
+            target_power=_json_int(data, "target_power"),
+            derivation=data["derivation"],
+            infeasible=data["infeasible_powers"],
+        )
+    else:
+        if not data["links"] or any(link["schema"] != "qmb-witness-v1" for link in data["links"]):
+            raise ValueError("malformed witness file: a chain has one or more links, each a single witness")
+        links = [witness_from_json(link) for link in data["links"]]
+        w = ChainWitness(n=n, minors=[MinorId(tuple(m["rows"]), tuple(m["cols"])) for m in data["minors"]],
+                         element=element, side=data["side"], links=links)
+        steps = zip(_clearing_order(w.side, w.minors), [element] + [link.cofactor for link in links[:-1]])
+        if [(link.n, link.side, link.target_power, link.minor, link.element) for link in links] != [
+                (n, w.side, 1, minor, cleared) for minor, cleared in steps]:
+            raise ValueError("malformed chain: each link must clear the cofactor before it against the next minor")
+    stated = w.to_json()
+    missing = stated.keys() - data.keys()
     if missing:
         raise ValueError(f"malformed witness file: missing {sorted(missing)}")
+    for key in DERIVED_KEYS[data["schema"]]:
+        if json.dumps(data[key]) != json.dumps(stated[key]):
+            raise ValueError(f"{key} must be {json.dumps(stated[key])}, derived from the rest of the file")
     return w
 
 
-def verify_witness_file(path: str) -> OreWitness:
-    """Re-check a witness file bit-exactly; raises CertificateError on failure.
-
-    Before the replay, everything the file states beside its equation is
-    re-derived and compared: ``denominator_zeros`` from the scale, and
-    ``infeasible_powers`` (empty, or the solver's record for every power below
-    ``power``) by solving at each of those powers.  A malformed, vacuous or
-    misstated file raises ValueError."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    try:
-        w = witness_from_json(data)
-    except (KeyError, TypeError, AttributeError) as exc:
-        raise ValueError(f"malformed witness file: missing or mistyped {exc}") from None
-    except ExprSyntaxError as exc:
-        raise ValueError(f"malformed witness file: {exc}") from None
+def _verified(w: OreWitness) -> OreWitness:
+    """``w`` certified, once its infeasibility evidence is re-derived and matches."""
     _check_side(w.side)
     if w.scale.is_zero() or w.element.is_zero():
         raise ValueError("vacuous witness: the scale or the element is zero")
-    zeros = [f.render() for f in w.denominator_zeros]
-    if data["denominator_zeros"] != zeros:
-        raise ValueError(f"denominator_zeros must be {zeros}, the factors of the scale {w.scale.render()}")
     if w.infeasible != []:
         if w.element.multidegree() is None:
             raise ValueError("an inhomogeneous element lists no infeasible powers")
@@ -777,3 +754,26 @@ def verify_witness_file(path: str) -> OreWitness:
             raise ValueError(f"infeasible_powers must be [] or the solver's records for powers "
                              f"1 .. {w.power - 1}")
     return w.certify()
+
+
+def verify_witness_file(path: str) -> OreWitness | ChainWitness:
+    """Re-check a witness or chain file bit-exactly; raises CertificateError on failure.
+
+    Before the replay, everything the file states beside its equation is
+    re-derived and compared: ``DERIVED_KEYS`` (a single witness's
+    ``denominator_zeros``; a chain's powers, scale and cofactor, from its
+    links), and ``infeasible_powers`` (empty, or the solver's record for every
+    power below ``power``) by solving at each of those powers.  A chain's
+    links are each checked and replayed so, then the chain's own equation.  A
+    malformed, vacuous or misstated file raises ValueError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        data = json.load(fh)
+    try:
+        w = witness_from_json(data)
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(f"malformed witness file: missing or mistyped {exc}") from None
+    except ExprSyntaxError as exc:
+        raise ValueError(f"malformed witness file: {exc}") from None
+    if isinstance(w, OreWitness):
+        return _verified(w)
+    return replace(w, links=[_verified(link) for link in w.links]).certify()

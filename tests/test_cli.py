@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from qmb.cli import (
     EXIT_USAGE,
     main,
 )
+from qmb import minors
 from qmb.exprparse import parse_element
 from qmb.minors import MinorId, quantum_minor
 from qmb.ore import extend_to_power, solve_witness, witness_to_file
@@ -25,6 +27,12 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# the README's chain D[{3},{3}] D[{2,3},{2,3}] against t[1,1], and its last minor alone
+CHAIN_ARGV = ["ore", "--n", "3", "--minor-rows", "3", "--minor-cols", "3",
+              "--minor-rows", "2,3", "--minor-cols", "2,3", "--elem", "t[1,1]"]
+MINOR_ARGV = ["ore", "--n", "3", "--minor-rows", "2,3", "--minor-cols", "2,3", "--elem", "t[1,1]"]
 
 
 class TestNf:
@@ -123,6 +131,53 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main([*argv, "--format", "text"])
         assert exc.value.code == EXIT_USAGE
+
+
+class TestFileErrors:
+    """Every OS error on a file is a precondition failure with one ``qmb:`` line."""
+
+    def test_verify_a_directory(self, capsys, tmp_path):
+        code, out, err = run(capsys, "verify-witness", str(tmp_path))
+        assert code == EXIT_PRECONDITION
+        assert out == "" and err.startswith("qmb: ") and err.count("\n") == 1
+
+    def test_output_to_a_directory(self, capsys, tmp_path):
+        code, out, err = run(capsys, "nf", "--n", "2", "t[1,1]", "--out", str(tmp_path))
+        assert code == EXIT_PRECONDITION
+        assert out == "" and err.startswith("qmb: ") and err.count("\n") == 1
+
+
+class TestMinorSizeBound:
+    """A minor past the size bound is refused before its permutations are summed."""
+
+    @pytest.fixture
+    def no_enumeration(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("permutations enumerated")
+
+        monkeypatch.setattr(minors, "permutations", refuse)
+
+    def test_minor_verb(self, capsys, no_enumeration):
+        labels = ",".join(map(str, range(1, 9)))
+        started = time.perf_counter()
+        code, out, err = run(capsys, "minor", "--n", "8", "--rows", labels, "--cols", labels)
+        assert time.perf_counter() - started < 1.0
+        assert code == EXIT_DEGREE_CAP
+        assert out == "" and err.startswith("qmb: ") and err.count("\n") == 1
+
+    def test_witness_file(self, capsys, tmp_path, no_enumeration):
+        labels = list(range(1, 10))
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps({
+            "schema": "qmb-witness-v1", "n": 9, "minor": {"rows": labels, "cols": labels},
+            "element": "t[1,1]", "side": "left-form", "power": 1, "target_power": 1, "scale": "1",
+            "cofactor": "t[1,1]", "derivation": {}, "denominator_zeros": [], "infeasible_powers": [],
+            "certified": True}))
+        started = time.perf_counter()
+        code, out, err = run(capsys, "verify-witness", str(path))
+        assert time.perf_counter() - started < 1.0
+        assert code == EXIT_DEGREE_CAP
+        assert out == "" and err.startswith("qmb: ") and err.count("\n") == 1
 
 
 class TestCommutatorVerb:
@@ -253,21 +308,34 @@ class TestOreVerb:
         ({"cofactor": "(" * 300 + "t[1,1]" + ")" * 300}, EXIT_PRECONDITION),
         ({"minor": {"rows": [True], "cols": [2]}}, EXIT_PRECONDITION),
         ({"scale": "t[1,1]"}, EXIT_PRECONDITION),
+        (lambda d: d.update(powers=[3, 2]), EXIT_PRECONDITION),
+        (lambda d: d["links"].reverse(), EXIT_PRECONDITION),
+        (lambda d: d["minors"].reverse(), EXIT_PRECONDITION),
+        (lambda d: d.update(links=[]), EXIT_PRECONDITION),
+        (lambda d: d["links"][0]["infeasible_powers"][0].update(rank=0), EXIT_PRECONDITION),
     ], ids=["wrong-power", "partial-infeasible", "unknown-side", "negative-power", "zero-powers",
             "zero-target-power", "zero-scale", "zero-element", "missing-key", "huge-power", "zero-n",
             "unparsable-cofactor",
             "bad-infeasible-non-list", "bad-infeasible-at-power", "bad-infeasible-repeated",
             "bad-infeasible-non-integer", "infeasible-inhomogeneous", "wrong-denominator-zeros",
             "float-power", "bool-target-power", "float-n", "zero-denominator-scale", "deep-nesting",
-            "bool-label", "word-scale"])
+            "bool-label", "word-scale", "chain-powers-changed", "chain-links-reversed",
+            "chain-minors-reversed", "chain-no-links", "chain-link-infeasible-misstated"])
     def test_tampered_witness_exit(self, capsys, tmp_path, changes, expected):
+        # a dict replaces keys of a single witness file; a function tampers a solver chain file
         path = tmp_path / "w.json"
-        run(
-            capsys, "ore", "--n", "2", "--minor-rows", "2", "--minor-cols", "2",
-            "--elem", "t[1,1]", "--out", str(path),
-        )
+        if callable(changes):
+            run(capsys, *CHAIN_ARGV, "--strategy", "solver", "--out", str(path))
+        else:
+            run(
+                capsys, "ore", "--n", "2", "--minor-rows", "2", "--minor-cols", "2",
+                "--elem", "t[1,1]", "--out", str(path),
+            )
         data = json.loads(path.read_text())
-        data.update(changes)
+        if callable(changes):
+            changes(data)
+        else:
+            data.update(changes)
         path.write_text(json.dumps({k: v for k, v in data.items() if v is not None}))
         code, out, err = run(capsys, "verify-witness", str(path))
         assert code == expected
@@ -289,6 +357,27 @@ class TestOreVerb:
                            "--elem", "t[1,2]")
         assert code == EXIT_OK
         assert json.loads(out)["certified"] is True
+
+    def test_chain_max_power(self, capsys):
+        # each link needs power 2
+        code, out, err = run(capsys, *CHAIN_ARGV, "--max-power", "1")
+        assert code == EXIT_UNSAT
+        assert out == "" and err.startswith("qmb: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("strategy", ["solver", "constructive", "both"])
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("chain", [False, True], ids=["one-minor", "two-minors"])
+    def test_every_written_file_verifies(self, capsys, tmp_path, chain, side, strategy):
+        path = tmp_path / "w.json"
+        argv = CHAIN_ARGV if chain else MINOR_ARGV
+        assert run(capsys, *argv, "--side", side, "--strategy", strategy, "--out", str(path))[0] == EXIT_OK
+        data = json.loads(path.read_text())
+        code, out, _ = run(capsys, "verify-witness", str(path))
+        assert code == EXIT_OK
+        report = json.loads(out)
+        assert report["certified"] is True and report["side"] == data["side"]
+        key = "powers" if chain else "power"
+        assert report[key] == data[key] and ("power" if chain else "powers") not in report
 
     def test_chain_output(self, capsys, tmp_path):
         path = tmp_path / "chain.json"

@@ -5,8 +5,11 @@ from itertools import combinations, permutations
 
 import pytest
 
-from qmb.algebra import Element, MultiDegree, commutator
+from qmb import minors
+from qmb.algebra import DegreeCapError, Element, MultiDegree, commutator
+from qmb.exprparse import parse_element
 from qmb.minors import (
+    MAX_MINOR_SIZE,
     MinorId,
     column_replace,
     index_set,
@@ -60,6 +63,26 @@ class TestConstruction:
         swapped = quantum_minor_columns(3, (1, 2), (2, 1))
         assert sorted_minor != swapped
         assert qcommutation_probe(sorted_minor, swapped) is None or True  # merely distinct
+
+
+class TestSizeBound:
+    def test_largest_size_expands(self):
+        labels = range(1, MAX_MINOR_SIZE + 1)
+        assert MAX_MINOR_SIZE == 7
+        assert len(quantum_minor(7, labels, labels).terms()) == 5040
+
+    @pytest.mark.parametrize("build", [
+        lambda labels: quantum_minor(8, labels, labels),
+        lambda labels: quantum_minor_columns(8, labels, labels[::-1]),
+        lambda labels: parse_element("D[{1,2,3,4,5,6,7,8},{1,2,3,4,5,6,7,8}]", 8),
+    ], ids=["quantum_minor", "quantum_minor_columns", "expression"])
+    def test_larger_minor_refused_before_enumerating(self, monkeypatch, build):
+        def refuse(*args):
+            raise AssertionError("permutations enumerated")
+
+        monkeypatch.setattr(minors, "permutations", refuse)
+        with pytest.raises(DegreeCapError):
+            build(tuple(range(1, 9)))
 
 
 class TestColumnReplace:

@@ -81,14 +81,29 @@ def numeric_power(n, q0, p, m):
 
 
 def replay_witness(w, q0):
-    """Re-check the witness equation at numeric q = q0 with the independent reducer."""
+    """Re-check the witness equation at numeric q = q0 with the independent reducer.
+
+    A single witness has ``D^power`` on the scaled side and ``D^target_power``
+    on the cleared side; a chain (it has ``minors``) has
+    ``D_1^{a_1} ... D_p^{a_p}`` and ``D_1 ... D_p``."""
     n = w.n
-    D = numeric_minor(n, q0, w.minor.rows, w.minor.cols)
+    if hasattr(w, "minors"):
+        scaled, cleared = list(zip(w.minors, w.powers)), [(m, 1) for m in w.minors]
+    else:
+        scaled, cleared = [(w.minor, w.power)], [(w.minor, w.target_power)]
+
+    def minor_product(factors):
+        out = {(): Fraction(1)}
+        for minor, k in factors:
+            D = numeric_minor(n, q0, minor.rows, minor.cols)
+            out = numeric_product(n, q0, out, numeric_power(n, q0, D, k))
+        return out
+
     e = numeric_value(w.element, q0)
     cof = numeric_value(w.cofactor, q0)
     s = w.scale.specialize(q0)
-    Dp = numeric_power(n, q0, D, w.power)
-    Dt = numeric_power(n, q0, D, w.target_power)
+    Dp = minor_product(scaled)
+    Dt = minor_product(cleared)
     if w.side == LEFT:
         lhs = numeric_product(n, q0, Dp, e)
         rhs = numeric_product(n, q0, cof, Dt)

@@ -1,5 +1,6 @@
 """Witness solver, constructive engine, composition calculus, chains, files."""
 
+import copy
 import dataclasses
 import hashlib
 import json
@@ -18,6 +19,7 @@ from qmb.ore import (
     RIGHT,
     SIDES,
     CertificateError,
+    ChainWitness,
     OreWitness,
     UnsatWithinBound,
     compose_product,
@@ -178,6 +180,21 @@ def test_n3_generator_witnesses_are_pinned():
                                 count += 1
     assert count == 648
     assert digest.hexdigest() == "9eb8925d7681471c78c723d82a76d7c07992b1c90a10d7d6c4d596c4c2d20d3c"
+
+
+CHAIN_MINORS = [MinorId((3,), (3,)), MinorId((2, 3), (2, 3))]  # the README's chain at n = 3
+
+
+@pytest.mark.parametrize("side, strategy, digest", [
+    (LEFT, "constructive", "d1b6c5837c5597f4e7a273837d09183494771dedab80450f6bc076032396a31e"),
+    (LEFT, "solver", "ba018cb7d6a42032b899c8fc690326baa3804fa789b2697f6d52670fbe798d88"),
+    (RIGHT, "constructive", "ea13ec445e40a7e58f8fa4d49b1405d872f6e371ac2ab91d9a51668e36ee70df"),
+    (RIGHT, "solver", "3ed9516c3278e597747a17eed000f8c8d6673b0b33aed5bda22d63d7b6327f60"),
+])
+def test_n3_chain_witnesses_are_pinned(side, strategy, digest):
+    """The canonical JSON of the chain against t[1,1]: powers, scale, cofactor and every link."""
+    chain = multi_minor_witness(3, CHAIN_MINORS, gen(3, 1, 1), side, strategy)
+    assert hashlib.sha256(json.dumps(chain.to_json(), sort_keys=True).encode()).hexdigest() == digest
 
 
 def test_n4_interior_solver_witness_is_pinned():
@@ -469,6 +486,24 @@ class TestChains:
         with pytest.raises(ValueError):
             multi_minor_witness(2, [], gen(2, 1, 1))
 
+    @pytest.mark.parametrize("side", SIDES)
+    def test_chain_keeps_only_its_links(self, side):
+        ch = multi_minor_witness(3, CHAIN_MINORS, gen(3, 1, 1), side, "solver")
+        assert [f.name for f in dataclasses.fields(ChainWitness)] == [
+            "n", "minors", "element", "side", "links", "certified"]
+        # the links clear in order: the last minor first in the left form
+        cleared = ch.links if side == RIGHT else ch.links[::-1]
+        assert [w.minor for w in cleared] == CHAIN_MINORS
+        assert ch.powers == [w.power for w in cleared]
+        assert ch.scale == ch.links[0].scale * ch.links[1].scale
+        assert ch.cofactor == ch.links[-1].cofactor
+        assert ch.links[0].element == ch.element and ch.links[1].element == ch.links[0].cofactor
+
+    def test_power_bound_applies_to_every_link(self):
+        with pytest.raises(UnsatWithinBound):
+            multi_minor_witness(3, CHAIN_MINORS, gen(3, 1, 1), LEFT, "solver", m_max=1)
+        assert multi_minor_witness(3, CHAIN_MINORS, gen(3, 1, 1), LEFT, "solver", m_max=2).powers == [2, 2]
+
 
 class TestWitnessFiles:
     def test_round_trip_and_verify(self, tmp_path):
@@ -493,6 +528,24 @@ class TestWitnessFiles:
     def test_unknown_schema_rejected(self):
         with pytest.raises(ValueError):
             witness_from_json({"schema": "nope"})
+
+    @pytest.mark.parametrize("side", SIDES)
+    @pytest.mark.parametrize("strategy", ["solver", "constructive"])
+    def test_chain_round_trip_and_verify(self, tmp_path, side, strategy):
+        ch = multi_minor_witness(3, CHAIN_MINORS, gen(3, 1, 1), side, strategy)
+        path = tmp_path / "chain.json"
+        witness_to_file(ch, str(path))
+        data = json.loads(path.read_text())
+        assert witness_from_json(data) == dataclasses.replace(
+            ch, certified=False, links=[dataclasses.replace(w, certified=False) for w in ch.links])
+        assert verify_witness_file(str(path)) == ch
+        assert type(witness_from_json(data["links"][0])) is OreWitness
+
+    def test_chain_links_are_single_witnesses(self):
+        data = multi_minor_witness(3, CHAIN_MINORS, gen(3, 1, 1), LEFT).to_json()
+        data["links"][0] = copy.deepcopy(data)
+        with pytest.raises(ValueError, match="each a single witness"):
+            witness_from_json(data)
 
 
 class TestDenominatorReporting:
