@@ -45,10 +45,9 @@ from . import algebra, minors, ore
 
 
 def clear_caches() -> None:
-    """Empty every process-global cache: the rewrite tables, expanded minors,
+    """Empty every process-global cache: the append table, expanded minors,
     minor powers and certified generator witnesses."""
     algebra._APPEND_CACHE.clear()
-    algebra._WORD_MUL_CACHE.clear()
     minors._minor_columns_cached.cache_clear()
     ore._minor_power.cache_clear()
     ore._GEN_WITNESS_CACHE.clear()

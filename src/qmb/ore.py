@@ -767,7 +767,10 @@ def verify_witness_file(path: str) -> OreWitness | ChainWitness:
     links are each checked and replayed so, then the chain's own equation.  A
     malformed, vacuous or misstated file raises ValueError."""
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise ValueError("malformed witness file: JSON nested too deeply") from None
     try:
         w = witness_from_json(data)
     except (KeyError, TypeError, AttributeError) as exc:

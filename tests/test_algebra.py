@@ -11,6 +11,7 @@ from qmb.algebra import (
     DegreeCapError,
     Element,
     MultiDegree,
+    _word_mul,
     basis_monomials,
     commutative_product,
     commutator,
@@ -97,6 +98,42 @@ class TestNormalForm:
             via_mul = Element(3, [(u, 1)]) * Element(3, [(v, 1)])
             via_agenda = normal_form(3, [(1, u + v)])
             assert via_mul == via_agenda
+
+    def test_prefix_trie_product_matches_agenda(self):
+        """Multi-term products, whose right factors share prefixes, against the
+        independent reducer under both strategies."""
+
+        def agenda(n, a, b, strategy):
+            return normal_form(n, [(ca * cb, u + v) for u, ca in a.terms() for v, cb in b.terms()], strategy)
+
+        def coeff(rng):
+            return LaurentQ({rng.randint(-2, 2): rng.choice((-3, -2, -1, 1, 2, 3))})
+
+        rng = random.Random(41)
+        cases = []
+        for n in (3, 4):
+            for _ in range(12):
+                left = {tuple(sorted(rand_word(rng, n, 3))) for _ in range(rng.randint(2, 8))}
+                # every prefix of a few sorted stems: a branching trie
+                stems = [tuple(sorted(rand_word(rng, n, 4))) for _ in range(2)]
+                right = sorted({s[:k] for s in stems for k in range(len(s) + 1)})[:8]
+                a = Element(n, [(w, coeff(rng)) for w in left])
+                b = Element(n, [(w, coeff(rng)) for w in right])
+                if len(a.terms()) >= 2 and len(b.terms()) >= 2:
+                    cases.append((n, a, b))
+            # (t11 + t12)(t11 - q^-1 t12): the two t11 t12 terms cancel
+            a = t(n, 1, 1) + t(n, 1, 2)
+            b = t(n, 1, 1) - QINV * t(n, 1, 2)
+            assert (a * b).coeff(((1, 1), (1, 2))).is_zero()
+            cases.append((n, a, b))
+        # right factors in which one word is a proper prefix of another
+        assert sum(any(u != v and u == v[:len(u)] for u, _ in b.terms() for v, _ in b.terms())
+                   for _, _, b in cases) >= 10
+        for n, a, b in cases:
+            for strategy in ("leftmost", "rightmost"):
+                assert a * b == agenda(n, a, b, strategy)
+            for (u, _), (v, _) in product(a.terms(), b.terms()):
+                assert dict(_word_mul(u, v)) == dict(normal_form(n, [(1, u + v)]).terms())
 
     def test_associativity_random(self):
         rng = random.Random(5)

@@ -146,6 +146,13 @@ class TestFileErrors:
         assert code == EXIT_PRECONDITION
         assert out == "" and err.startswith("qmb: ") and err.count("\n") == 1
 
+    def test_verify_deeply_nested_json(self, capsys, tmp_path):
+        path = tmp_path / "nested.json"
+        path.write_text("[" * 100_000)
+        code, out, err = run(capsys, "verify-witness", str(path))
+        assert code == EXIT_PRECONDITION
+        assert out == "" and err.startswith("qmb: malformed witness file") and err.count("\n") == 1
+
 
 class TestMinorSizeBound:
     """A minor past the size bound is refused before its permutations are summed."""

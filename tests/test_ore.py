@@ -372,15 +372,20 @@ class TestCertifyOnce:
 
 def test_clear_caches_empties_every_cache():
     def sizes():
-        return [len(algebra._APPEND_CACHE), len(algebra._WORD_MUL_CACHE),
-                minors._minor_columns_cached.cache_info().currsize,
+        return [len(algebra._APPEND_CACHE), minors._minor_columns_cached.cache_info().currsize,
                 ore._minor_power.cache_info().currsize, len(ore._GEN_WITNESS_CACHE)]
 
     clear_caches()
     witness_generator_constructive(3, MinorId((1, 2), (1, 3)), 1, 2, LEFT)
     assert all(sizes())
+    # products walk the right factor's prefix trie; no word-pair table fills
+    assert not algebra._WORD_MUL_CACHE
+    a = gen(3, 2, 1) + gen(3, 1, 2) * gen(3, 3, 3)
+    b = gen(3, 1, 1) * gen(3, 2, 2) + gen(3, 1, 1) * gen(3, 3, 1) - gen(3, 2, 1)
+    assert len(a.terms()) > 1 and len(b.terms()) > 1 and not (a * b).is_zero()
+    assert not algebra._WORD_MUL_CACHE
     clear_caches()
-    assert sizes() == [0, 0, 0, 0, 0]
+    assert sizes() == [0, 0, 0, 0]
 
 
 class TestWitnessForElement:
