@@ -60,10 +60,10 @@ def degree_cap() -> int:
     return cap
 
 
-def _check_cap(deg: int) -> None:
+def _check_cap(deg: int, what: str = "normal-form degree") -> None:
     cap = degree_cap()
     if deg > cap:
-        raise DegreeCapError(f"normal-form degree {deg} exceeds cap {cap} (set {DEGREE_CAP_ENV} to raise)")
+        raise DegreeCapError(f"{what} {deg} exceeds cap {cap} (set {DEGREE_CAP_ENV} to raise)")
 
 
 # -- word-level rewriting ------------------------------------------------------

@@ -10,7 +10,9 @@ Grammar (whitespace insensitive):
     atom    := 't' '[' INT ',' INT ']'
              | 'D' '[' '{' INT (',' INT)* '}' ',' '{' INT (',' INT)* '}' ']'
              | 'q' | INT | '(' expr ')'
-    exponent:= INT | '-' INT                       negative only on the bare q
+    exponent:= INT | '-' INT                       negative only on the bare q;
+                                                   at most the degree cap on
+                                                   any other base
 
 The canonical element text ``(coeff) * t[i,j] t[k,l] ...`` produced by
 ``Element.render`` parses back bit-exactly, and so does the canonical
@@ -22,7 +24,7 @@ from __future__ import annotations
 import re
 from typing import Optional
 
-from .algebra import Element
+from .algebra import Element, _check_cap
 from .minors import quantum_minor
 from .scalars import LaurentQ
 
@@ -129,6 +131,9 @@ class _Parser:
             exp = self.exponent(allow_negative=is_q)
             if is_q:
                 return Element.scalar(self.n, LaurentQ.q_power(exp))
+            # a power of any other base grows its coefficients or degree with
+            # the exponent, so it is bounded before it is formed
+            _check_cap(exp, "exponent")
             return base**exp
         return base
 

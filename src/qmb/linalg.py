@@ -1,18 +1,20 @@
 """Exact linear algebra over the rational-function field in q.
 
-The systems the solver builds are mostly zeros (the largest, 370 x 120, is
-3 % nonzero), so each row is a dict ``{column: QRational}`` holding only its
-nonzero entries, and Gauss-Jordan elimination runs over the canonical
-rational functions.  Columns are visited left to right, so the pivot
-columns are the leftmost independent ones and free columns are set to zero;
-since every value is canonical, the solution does not depend on which row
-supplies a pivot.
+A system arrives as sparse columns: each unknown's column, and the target,
+map a row key (for the solver, a PBW word) to its nonzero entry, so no dense
+grid is ever built.  The systems are mostly zeros (the largest at n = 4,
+370 x 120, is 3 % nonzero), so each row is a dict ``{column: QRational}``
+holding only its nonzero entries, and Gauss-Jordan elimination runs over the
+canonical rational functions.  Columns are visited left to right, so the
+pivot columns are the leftmost independent ones and free columns are set to
+zero; since every value is canonical, the solution does not depend on which
+row supplies a pivot, nor on how the rows are numbered.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Hashable, Mapping, Optional, Sequence
 
 from .scalars import LaurentQ, QRational, ONE
 
@@ -24,32 +26,33 @@ class LinearSolution:
     """Outcome of solving ``A x = b`` over rational functions in q.
 
     ``solution`` is None when the system is inconsistent.  Free columns (if
-    any) are set to zero.  ``rank`` is the rank of the coefficient matrix.
+    any) are set to zero.  ``rank`` is the rank of the coefficient matrix and
+    ``equations`` its number of rows, the distinct row keys.
     """
 
     solution: Optional[list[QRational]]
     rank: int
     consistent: bool
+    equations: int
 
 
 def _size(v: QRational) -> int:
     return len(v.num.terms) + len(v.den.terms)
 
 
-def solve_linear(A: list[list[LaurentQ]], b: list[LaurentQ]) -> LinearSolution:
-    rows = len(A)
-    if rows != len(b):
-        raise ValueError("matrix and right-hand side have different heights")
-    cols = len(A[0]) if rows else 0
-    # sparse augmented rows; the right-hand side sits under key ``cols``
-    R: list[dict[int, QRational]] = []
-    for row, rhs in zip(A, b):
-        entries = {j: QRational(v) for j, v in enumerate(row) if v}
-        if rhs:
-            entries[cols] = QRational(rhs)
-        R.append(entries)
+def solve_linear(columns: Sequence[Mapping], target: Mapping) -> LinearSolution:
+    """Solve ``sum_j x_j * columns[j] == target``, reading but never changing the maps.
 
-    free = set(range(rows))  # rows that have not supplied a pivot
+    Each map takes a row key to a nonzero LaurentQ; rows are numbered by first appearance."""
+    cols = len(columns)
+    # sparse augmented rows; the right-hand side sits under key ``cols``
+    keyed: dict[Hashable, dict[int, QRational]] = {}
+    for j, col in enumerate((*columns, target)):
+        for key, v in col.items():
+            keyed.setdefault(key, {})[j] = QRational(v)
+    R = list(keyed.values())
+
+    free = set(range(len(R)))  # rows that have not supplied a pivot
     pivots: list[tuple[int, int]] = []  # (column, row), row scaled to 1 there
     for c in range(cols):
         candidates = [i for i in free if c in R[i]]
@@ -77,11 +80,11 @@ def solve_linear(A: list[list[LaurentQ]], b: list[LaurentQ]) -> LinearSolution:
     # every column is now eliminated outside its pivot row, so a row that
     # supplied no pivot holds at most its right-hand side
     if any(R[i] for i in free):
-        return LinearSolution(None, rank, False)
+        return LinearSolution(None, rank, False, len(R))
     x = [_QZERO] * cols
     for c, p in pivots:
         x[c] = R[p].get(cols, _QZERO)
-    return LinearSolution(x, rank, True)
+    return LinearSolution(x, rank, True, len(R))
 
 
 def clear_denominators(values: list[QRational]) -> tuple[LaurentQ, list[LaurentQ]]:

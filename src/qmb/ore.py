@@ -177,27 +177,11 @@ def _solve_at_power(n: int, minor: MinorId, element: Element, side: str, m: int)
     t_deg = target.multidegree()
     x_deg = t_deg.minus(d_deg)  # (m - 1) deg D + deg e: never negative
     basis = basis_monomials(n, x_deg.rows, x_deg.cols)
-    columns = []
-    support: dict = {}
-    for b in basis:
-        col = _times(side, Element(n, [(b, 1)]), D)
-        columns.append(col)
-        for w, _ in col.terms():
-            support.setdefault(w, len(support))
-    for w, _ in target.terms():
-        support.setdefault(w, len(support))
-    rows = len(support)
-    A = [[LaurentQ.zero()] * len(basis) for _ in range(rows)]
-    b_vec = [LaurentQ.zero()] * rows
-    for j, col in enumerate(columns):
-        for w, c in col.terms():
-            A[support[w]][j] = c
-    for w, c in target.terms():
-        b_vec[support[w]] = c
-    sol = solve_linear(A, b_vec)
+    columns = [_times(side, Element(n, [(b, 1)]), D)._t for b in basis]
+    sol = solve_linear(columns, target._t)
     if not sol.consistent:
         return None, {"power": m, "reason": "inconsistent linear system", "rank": sol.rank,
-                      "unknowns": len(basis), "equations": rows}
+                      "unknowns": len(basis), "equations": sol.equations}
     scale, laurents = clear_denominators(sol.solution)
     cofactor = Element(n, [(b, c) for b, c in zip(basis, laurents) if not c.is_zero()])
     return (scale, cofactor), None
@@ -207,6 +191,8 @@ def _factor_scale(scale: LaurentQ) -> list[LaurentQ]:
     """Irreducible factors of the cleared-denominator scale (via sympy)."""
     if scale.is_one() or scale.is_zero():
         return []
+    # a file may state any scale, and factoring time grows steeply with its span
+    _check_cap(scale.max_exp() - scale.min_exp(), "q-span of the scale")
     import sympy
     from fractions import Fraction
 

@@ -73,6 +73,21 @@ class TestNf:
         code, _, err = run(capsys, "nf", "--n", "2", "t[1,1]*t[1,1]*t[1,1]")
         assert code == EXIT_DEGREE_CAP
 
+    @pytest.mark.parametrize("text", ["2^1000000000", "(1+q)^2000", "(1+q)^8000", "t[1,1]^17"])
+    def test_exponent_over_the_cap_exits_before_the_power(self, capsys, text):
+        started = time.perf_counter()
+        code, out, err = run(capsys, "nf", "--n", "1", text)
+        assert time.perf_counter() - started < 1.0
+        assert code == EXIT_DEGREE_CAP
+        assert out == "" and err.startswith("qmb: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("text, expected", [
+        ("t[1,1]^2", "(1) * t[1,1] t[1,1]"), ("2^16", "(65536) * 1"),
+        ("q^100000", "(q^100000) * 1"), ("q^-3", "(q^-3) * 1"),
+    ])
+    def test_exponents_within_the_cap_and_on_q(self, capsys, text, expected):
+        assert run(capsys, "nf", "--n", "1", text) == (EXIT_OK, expected + "\n", "")
+
 
 class TestMinorVerb:
     def test_matches_library(self, capsys):
@@ -315,6 +330,8 @@ class TestOreVerb:
         ({"cofactor": "(" * 300 + "t[1,1]" + ")" * 300}, EXIT_PRECONDITION),
         ({"minor": {"rows": [True], "cols": [2]}}, EXIT_PRECONDITION),
         ({"scale": "t[1,1]"}, EXIT_PRECONDITION),
+        ({"scale": " + ".join(f"{1 + k % 9}*q^{k}" for k in range(400))}, EXIT_DEGREE_CAP),
+        ({"cofactor": "(1+q)^8000 * t[1,1]"}, EXIT_DEGREE_CAP),
         (lambda d: d.update(powers=[3, 2]), EXIT_PRECONDITION),
         (lambda d: d["links"].reverse(), EXIT_PRECONDITION),
         (lambda d: d["minors"].reverse(), EXIT_PRECONDITION),
@@ -326,7 +343,8 @@ class TestOreVerb:
             "bad-infeasible-non-list", "bad-infeasible-at-power", "bad-infeasible-repeated",
             "bad-infeasible-non-integer", "infeasible-inhomogeneous", "wrong-denominator-zeros",
             "float-power", "bool-target-power", "float-n", "zero-denominator-scale", "deep-nesting",
-            "bool-label", "word-scale", "chain-powers-changed", "chain-links-reversed",
+            "bool-label", "word-scale", "dense-degree-399-scale", "huge-exponent-cofactor",
+            "chain-powers-changed", "chain-links-reversed",
             "chain-minors-reversed", "chain-no-links", "chain-link-infeasible-misstated"])
     def test_tampered_witness_exit(self, capsys, tmp_path, changes, expected):
         # a dict replaces keys of a single witness file; a function tampers a solver chain file

@@ -4,8 +4,16 @@ solver at specialized q."""
 import random
 from fractions import Fraction
 
+from qmb.algebra import Element
 from qmb.linalg import clear_denominators, solve_linear
 from qmb.scalars import ONE, LaurentQ, QRational
+
+
+def columns_of(A, b):
+    """The dense system ``A x = b`` as sparse columns and a target keyed by row index."""
+    cols = len(A[0]) if A else 0
+    columns = [{i: row[j] for i, row in enumerate(A) if row[j]} for j in range(cols)]
+    return columns, {i: v for i, v in enumerate(b) if v}
 
 
 def fraction_gauss(A, b):
@@ -48,7 +56,7 @@ class TestSolveLinear:
         q = LaurentQ.q_power(1)
         A = [[q, ONE], [ONE, q]]
         b = [q * q + ONE, q + q]
-        sol = solve_linear(A, b)
+        sol = solve_linear(*columns_of(A, b))
         assert sol.consistent
         x, y = sol.solution
         assert QRational(q) * x + y == QRational(q * q + ONE)
@@ -57,7 +65,7 @@ class TestSolveLinear:
     def test_inconsistent_detected(self):
         A = [[ONE], [ONE]]
         b = [ONE, ONE + ONE]
-        sol = solve_linear(A, b)
+        sol = solve_linear(*columns_of(A, b))
         assert not sol.consistent
         assert sol.rank == 1
 
@@ -75,7 +83,7 @@ class TestSolveLinear:
                 for j in range(cols):
                     acc = acc + A[i][j] * x_true[j]
                 b.append(acc)
-            sol = solve_linear(A, b)
+            sol = solve_linear(*columns_of(A, b))
             assert sol.consistent
             for i in range(rows):
                 acc = QRational(0)
@@ -95,7 +103,7 @@ class TestSolveLinear:
             cols = rng.randint(1, 3)
             A = [[rand_laurent(rng) for _ in range(cols)] for _ in range(rows)]
             b = [rand_laurent(rng) for _ in range(rows)]
-            sol = solve_linear(A, b)
+            sol = solve_linear(*columns_of(A, b))
             A0 = [[v.specialize(q0) for v in row] for row in A]
             b0 = [v.specialize(q0) for v in b]
             _, oracle = fraction_gauss(A0, b0)
@@ -139,7 +147,7 @@ class TestSolveLinear:
                 else:
                     b = [rand_laurent(rng) if rng.random() < 0.1 else LaurentQ.zero()
                          for _ in range(rows)]
-                sol = solve_linear(A, b)
+                sol = solve_linear(*columns_of(A, b))
                 A0 = [[v.specialize(q0) for v in row] for row in A]
                 rank0, x0 = fraction_gauss(A0, [v.specialize(q0) for v in b])
                 assert sol.rank == rank0
@@ -156,11 +164,47 @@ class TestSolveLinear:
         q = LaurentQ.q_power(1)
         A = [[q - LaurentQ.q_power(-1)]]
         b = [ONE]
-        sol = solve_linear(A, b)
+        sol = solve_linear(*columns_of(A, b))
         assert sol.consistent
         x = sol.solution[0]
         assert QRational(A[0][0]) * x == QRational(ONE)
         assert not x.is_laurent()
+
+    def test_inputs_are_left_unchanged(self):
+        q = LaurentQ.q_power(1)
+        columns = [{0: q, 1: ONE}, {0: ONE, 2: q - ONE}, {1: q}]
+        target = {0: q + ONE, 2: q}
+        before = [dict(c) for c in columns], dict(target)
+        sol = solve_linear(columns, target)
+        assert sol.consistent and sol.equations == 3
+        assert ([dict(c) for c in columns], dict(target)) == before
+
+    def test_empty_target_gives_the_zero_solution(self):
+        q = LaurentQ.q_power(1)
+        sol = solve_linear([{0: q, 1: ONE}, {0: ONE, 1: q}, {1: ONE}], {})
+        assert sol.consistent and sol.rank == 2 and sol.equations == 2
+        assert sol.solution == [QRational(0)] * 3
+
+    def test_empty_column_is_free_and_zero(self):
+        q = LaurentQ.q_power(1)
+        sol = solve_linear([{0: q}, {}, {1: ONE}], {0: q, 1: ONE + ONE})
+        assert sol.consistent and sol.rank == 2 and sol.equations == 2
+        assert sol.solution == [QRational(ONE), QRational(0), QRational(ONE + ONE)]
+
+    def test_row_keys_may_be_words(self):
+        # x1 * t11 + x2 * (t12 + t21) + x3 * t21 == 2 t11 - q t12 + t21 in the
+        # n = 2 algebra: the term maps of elements are columns as they stand
+        q = LaurentQ.q_power(1)
+        gen = lambda i, j: Element.generator(2, i, j)
+        columns = [gen(1, 1), gen(1, 2) + gen(2, 1), gen(2, 1)]
+        target = gen(1, 1).scale(2) - gen(1, 2).scale(q) + gen(2, 1)
+        sol = solve_linear([c._t for c in columns], target._t)
+        assert sol.consistent and sol.rank == 3 and sol.equations == 3
+        assert sol.solution == [QRational(ONE + ONE), QRational(-q), QRational(q + ONE)]
+        numbered = {w: i for i, w in enumerate(target._t)}
+        by_index = solve_linear([{numbered[w]: v for w, v in c._t.items()} for c in columns],
+                                {numbered[w]: v for w, v in target._t.items()})
+        assert by_index == sol
 
 
 class TestClearDenominators:

@@ -210,6 +210,18 @@ def test_n4_interior_solver_witness_is_pinned():
         "7a68c7be5bfd14a52769bef1955c2b3375234fedef72c44ab013b94fdf89bcc3")
 
 
+@pytest.mark.parametrize("m, record", [
+    (1, {"rank": 1, "unknowns": 1, "equations": 72}),
+    (2, {"rank": 120, "unknowns": 120, "equations": 2202}),
+])
+def test_n5_infeasible_power_records_are_pinned(m, record):
+    """The first two systems of D[{1,2,4,5},{1,2,4,5}] against t[3,3] (left
+    form) at n = 5, whose witness has power 3: both are inconsistent."""
+    solved, found = ore._solve_at_power(5, MinorId((1, 2, 4, 5), (1, 2, 4, 5)), gen(5, 3, 3), LEFT, m)
+    assert solved is None
+    assert found == {"power": m, "reason": "inconsistent linear system", **record}
+
+
 class TestCompositions:
     def test_product_of_central_witnesses(self):
         w1 = witness_generator_constructive(2, MFULL2, 1, 1, LEFT)
