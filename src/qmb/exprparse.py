@@ -11,8 +11,9 @@ Grammar (whitespace insensitive):
              | 'D' '[' '{' INT (',' INT)* '}' ',' '{' INT (',' INT)* '}' ']'
              | 'q' | INT | '(' expr ')'
     exponent:= INT | '-' INT                       negative only on the bare q;
-                                                   at most the degree cap on
-                                                   any other base
+                                                   on any other base at most
+                                                   the degree cap, and so is
+                                                   the q-span of the power
 
 The canonical element text ``(coeff) * t[i,j] t[k,l] ...`` produced by
 ``Element.render`` parses back bit-exactly, and so does the canonical
@@ -22,9 +23,10 @@ Laurent text of ``LaurentQ.render`` through :func:`parse_laurent`.
 from __future__ import annotations
 
 import re
+import sys
 from typing import Optional
 
-from .algebra import Element, _check_cap
+from .algebra import DegreeCapError, Element, _check_cap
 from .minors import quantum_minor
 from .scalars import LaurentQ
 
@@ -131,9 +133,19 @@ class _Parser:
             exp = self.exponent(allow_negative=is_q)
             if is_q:
                 return Element.scalar(self.n, LaurentQ.q_power(exp))
-            # a power of any other base grows its coefficients or degree with
-            # the exponent, so it is bounded before it is formed
+            # a power of any other base grows its degree, the q-span and the
+            # size of its coefficients with the exponent, so all three are
+            # bounded before it is formed
             _check_cap(exp, "exponent")
+            coeffs = [c for _, c in base.terms()]
+            if coeffs:
+                span = max(c.max_exp() for c in coeffs) - min(c.min_exp() for c in coeffs)
+                _check_cap(exp * span, "q-span of the power")
+            bits = max((max(v.numerator.bit_length(), v.denominator.bit_length())
+                        for c in coeffs for _, v in c.terms), default=0)
+            limit = sys.get_int_max_str_digits()
+            if limit and exp * bits > limit:
+                raise DegreeCapError(f"coefficients of {exp * bits} bits in the power exceed the integer limit of {limit} digits")
             return base**exp
         return base
 

@@ -15,7 +15,9 @@ The resolved conventions the sweep discovers, for reference:
 * generator/minor q-commutation: exponent ``-1`` when the outside label sits
   above the range of its set, ``+1`` when below;
 * minors with a single interchanged column label: exponent ``+1`` exactly
-  when the removed label is smaller than the added one;
+  when the removed label is smaller than the added one (the sweep forms the
+  two products of each such pair once, and :func:`check_muir_pair` measures
+  both orderings from them);
 * the single-gap identity holds with the correction factors ordered
   generator first: ``D t - q^-1 t D = (1-q^-2) t[k,l_1] D'``;
 * the general-gap identity holds with the correction row equal to the row
@@ -29,7 +31,7 @@ from itertools import combinations, product
 from typing import Iterable, Optional, Sequence
 
 from .algebra import Element, commutator
-from .minors import quantum_minor, quantum_minor_columns, qcommutation_probe
+from .minors import qcommutation_exponent, qcommutation_probe, quantum_minor, quantum_minor_columns
 from .scalars import LaurentQ, ONE, QINV, Q_MINUS_QINV
 
 VERIFIED = "verified"
@@ -119,29 +121,37 @@ def check_qcommutation(n: int, K: Sequence[int], L: Sequence[int], k: int, l: in
 
 def check_muir(n: int, K: Sequence[int], L: Sequence[int], Lprime: Sequence[int]) -> CheckResult:
     """Minors over the same rows whose column sets differ by one interchanged
-    label q-commute with exponent +-1; the sign is measured per geometry."""
+    label q-commute with exponent +-1; the sign is measured per geometry.
+    The first result of :func:`check_muir_pair`."""
+    return check_muir_pair(n, K, L, Lprime)[0]
+
+
+def check_muir_pair(n: int, K: Sequence[int], L: Sequence[int], Lprime: Sequence[int]) -> tuple[CheckResult, CheckResult]:
+    """The Muir checks of ``(L, L')`` and of ``(L', L)``, each measured from
+    the two products ``D_L D_L'`` and ``D_L' D_L``, which are formed once."""
     K, L, Lp = tuple(K), tuple(sorted(L)), tuple(sorted(Lprime))
-    cfg = _cfg(n, K, L, Lprime=list(Lp))
-    diff = set(L) ^ set(Lp)
-    if len(diff) > 2:
-        return CheckResult("muir", cfg, NOT_APPLICABLE)
+    if len(set(L) ^ set(Lp)) > 2:
+        return (CheckResult("muir", _cfg(n, K, L, Lprime=list(Lp)), NOT_APPLICABLE),
+                CheckResult("muir", _cfg(n, K, Lp, Lprime=list(L)), NOT_APPLICABLE))
     DL = quantum_minor(n, K, L)
     DLp = quantum_minor(n, K, Lp)
-    if not diff:
-        residual = commutator(DL, DLp)
+    ab, ba = DL * DLp, DLp * DL
+    return _muir_result(n, K, L, Lp, ab, ba), _muir_result(n, K, Lp, L, ba, ab)
+
+
+def _muir_result(n: int, K: tuple, L: tuple, Lp: tuple, ab: Element, ba: Element) -> CheckResult:
+    """The Muir check of ``(L, L')`` read from ``ab = D_L D_L'`` and ``ba = D_L' D_L``."""
+    cfg = _cfg(n, K, L, Lprime=list(Lp))
+    if L == Lp:
+        residual = ab - ba
         conv = {"exponent": 0, "geometry": "identical"}
         return CheckResult("muir", cfg, VERIFIED if residual.is_zero() else FAILED, residual, conv)
-    removed = (set(L) - set(Lp)).pop()
-    added = (set(Lp) - set(L)).pop()
-    r = qcommutation_probe(DL, DLp)
+    ((removed,), (added,)) = set(L) - set(Lp), set(Lp) - set(L)
+    r = qcommutation_exponent(ab, ba)
     geometry = "removed<added" if removed < added else "removed>added"
-    if r is not None and r in (1, -1):
-        residual = Element.zero(n)
-        status = VERIFIED
-    else:
-        residual = commutator(DL, DLp)
-        status = FAILED
-    return CheckResult("muir", cfg, status, residual, {"geometry": geometry, "exponent": r})
+    if r in (1, -1):
+        return CheckResult("muir", cfg, VERIFIED, Element.zero(n), {"geometry": geometry, "exponent": r})
+    return CheckResult("muir", cfg, FAILED, ab - ba, {"geometry": geometry, "exponent": r})
 
 
 def _gap_lhs(n, K, L, k, l) -> Element:
@@ -408,6 +418,7 @@ def run_suite(n_max: int = 4, size_cap: Optional[int] = 3, include_membership: b
         }
     )
     results = report.results
+    mirrored: dict[tuple, CheckResult] = {}
     for n, K, L in _minor_shapes(n_max, size_cap):
         for k in range(1, n + 1):
             for l in range(1, n + 1):
@@ -416,11 +427,16 @@ def run_suite(n_max: int = 4, size_cap: Optional[int] = 3, include_membership: b
                             check_gap_r(n, K, L, k, l, gap_index(L, l)), check_gap_one(n, K, L, k, l)):
                     if res.status != NOT_APPLICABLE:
                         results.append(res)
-        # minors differing in one column label
+        # minors differing in one column label: the pair (L, L') also gives
+        # the result of (L', L), which waits here until the sweep reaches it
         for a in L:
             for b in range(1, n + 1):
                 if b not in L:
-                    results.append(check_muir(n, K, L, sorted((set(L) - {a}) | {b})))
+                    Lp = tuple(sorted((set(L) - {a}) | {b}))
+                    res = mirrored.pop((n, K, L, Lp), None)
+                    if res is None:
+                        res, mirrored[(n, K, Lp, L)] = check_muir_pair(n, K, L, Lp)
+                    results.append(res)
 
     if include_membership:
         for n, K, L in _minor_shapes(min(n_max, MEMBERSHIP_N_MAX), size_cap):

@@ -139,8 +139,12 @@ def qcommutation_probe(a: Element, b: Element) -> Optional[int]:
         raise ValueError("q-commutation probe requires nonzero inputs")
     if a.multidegree() is None or b.multidegree() is None:
         raise ValueError("q-commutation probe requires homogeneous inputs")
-    ab = a * b
-    ba = b * a
+    return qcommutation_exponent(a * b, b * a)
+
+
+def qcommutation_exponent(ab: Element, ba: Element) -> Optional[int]:
+    """The unique integer r with ``ab = q^r ba`` for two formed products
+    ``ab`` and ``ba`` of nonzero homogeneous elements, or None."""
     terms_ab = ab.terms()
     terms_ba = ba.terms()
     if len(terms_ab) != len(terms_ba):

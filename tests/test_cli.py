@@ -73,7 +73,8 @@ class TestNf:
         code, _, err = run(capsys, "nf", "--n", "2", "t[1,1]*t[1,1]*t[1,1]")
         assert code == EXIT_DEGREE_CAP
 
-    @pytest.mark.parametrize("text", ["2^1000000000", "(1+q)^2000", "(1+q)^8000", "t[1,1]^17"])
+    @pytest.mark.parametrize("text", ["2^1000000000", "(1+q)^2000", "(1+q)^8000", "t[1,1]^17",
+                                      "((((1+q)^16)^16)^16)^16", "(((2^16)^16)^16)^16"])
     def test_exponent_over_the_cap_exits_before_the_power(self, capsys, text):
         started = time.perf_counter()
         code, out, err = run(capsys, "nf", "--n", "1", text)
@@ -84,6 +85,9 @@ class TestNf:
     @pytest.mark.parametrize("text, expected", [
         ("t[1,1]^2", "(1) * t[1,1] t[1,1]"), ("2^16", "(65536) * 1"),
         ("q^100000", "(q^100000) * 1"), ("q^-3", "(q^-3) * 1"),
+        ("(1+q)^16", "(1 + 16*q + 120*q^2 + 560*q^3 + 1820*q^4 + 4368*q^5 + 8008*q^6 + 11440*q^7"
+                     " + 12870*q^8 + 11440*q^9 + 8008*q^10 + 4368*q^11 + 1820*q^12 + 560*q^13"
+                     " + 120*q^14 + 16*q^15 + q^16) * 1"),
     ])
     def test_exponents_within_the_cap_and_on_q(self, capsys, text, expected):
         assert run(capsys, "nf", "--n", "1", text) == (EXIT_OK, expected + "\n", "")

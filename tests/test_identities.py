@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from qmb import identities
 from qmb.algebra import Element, commutator
 from qmb.identities import (
     FAILED,
@@ -15,13 +16,14 @@ from qmb.identities import (
     check_gap_one,
     check_gap_r,
     check_muir,
+    check_muir_pair,
     check_qcommutation,
     commutator_terms,
     gap_correction_terms,
     generator_position,
     run_suite,
 )
-from qmb.minors import quantum_minor
+from qmb.minors import qcommutation_probe, quantum_minor
 from qmb.scalars import ONE, QINV, LaurentQ
 
 
@@ -94,6 +96,57 @@ class TestMuir:
         res2 = check_muir(4, (1, 3), (2, 4), (1, 4))   # removed 2 > added 1
         assert res1.convention["exponent"] == 1
         assert res2.convention["exponent"] == -1
+
+
+def muir_configurations(n_max):
+    """Every (n, K, L, L') the sweep checks: L' is L with one label interchanged."""
+    for n, K, L in identities._minor_shapes(n_max, None):
+        for a in L:
+            for b in range(1, n + 1):
+                if b not in L:
+                    yield n, K, L, tuple(sorted((set(L) - {a}) | {b}))
+
+
+class TestMuirPair:
+    def test_both_results_equal_the_single_checks(self):
+        configs = list(muir_configurations(4))
+        assert {c[0] for c in configs} == {2, 3, 4}
+        for n, K, L, Lp in configs:
+            first, second = check_muir_pair(n, K, L, Lp)
+            assert first.to_json() == check_muir(n, K, L, Lp).to_json()
+            assert second.to_json() == check_muir(n, K, Lp, L).to_json()
+            # the exponents are those of the stand-alone probe, in each order
+            DL, DLp = quantum_minor(n, K, L), quantum_minor(n, K, Lp)
+            assert first.convention["exponent"] == qcommutation_probe(DL, DLp)
+            assert second.convention["exponent"] == qcommutation_probe(DLp, DL)
+
+    def test_identical_and_not_applicable_pairs(self):
+        same = check_muir_pair(3, (1, 2), (1, 3), (1, 3))
+        assert [r.to_json() for r in same] == [check_muir(3, (1, 2), (1, 3), (1, 3)).to_json()] * 2
+        first, second = check_muir_pair(4, (1, 2), (1, 2), (3, 4))
+        assert (first.status, second.status) == (NOT_APPLICABLE, NOT_APPLICABLE)
+        assert (first.config["L"], second.config["L"]) == ([1, 2], [3, 4])
+
+    def test_failed_residuals_are_the_two_commutators(self, monkeypatch):
+        monkeypatch.setattr(identities, "qcommutation_exponent", lambda ab, ba: None)
+        n, K, L, Lp = 3, (1, 2), (1, 3), (2, 3)
+        first, second = check_muir_pair(n, K, L, Lp)
+        DL, DLp = quantum_minor(n, K, L), quantum_minor(n, K, Lp)
+        assert (first.status, second.status) == (FAILED, FAILED)
+        assert first.residual == commutator(DL, DLp)
+        assert second.residual == commutator(DLp, DL)
+
+    def test_the_sweep_forms_each_pair_once(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return check_muir_pair(*args)
+
+        monkeypatch.setattr(identities, "check_muir_pair", counted)
+        report = run_suite(n_max=4, size_cap=3)
+        muir = [r for r in report.results if r.identity == "muir"]
+        assert muir and 2 * len(calls) == len(muir)
 
 
 class TestGapOne:

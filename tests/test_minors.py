@@ -13,6 +13,7 @@ from qmb.minors import (
     MinorId,
     column_replace,
     index_set,
+    qcommutation_exponent,
     qcommutation_probe,
     quantum_minor,
     quantum_minor_columns,
@@ -136,13 +137,33 @@ class TestProbe:
         D = quantum_minor(3, (1, 3), (1, 3))
         assert qcommutation_probe(t(3, 2, 1), D) is None
 
+    @pytest.mark.parametrize("a, b", [
+        (quantum_minor(3, (1, 2), (1, 3)), quantum_minor(3, (1, 2), (2, 3))),
+        (t(3, 1, 3), quantum_minor(3, (1, 2), (1, 2))),
+        (quantum_minor(4, (1, 3), (2, 4)), quantum_minor(4, (1, 3), (1, 4))),
+    ], ids=["minor-pair", "generator-minor", "minor-pair-n4"])
+    def test_exponent_of_swapped_products_is_negated(self, a, b):
+        ab, ba = a * b, b * a
+        r = qcommutation_exponent(ab, ba)
+        assert r in (1, -1) and r == qcommutation_probe(a, b)
+        assert qcommutation_exponent(ba, ab) == -r
+
+    def test_exponent_of_non_q_commuting_products_is_none_both_ways(self):
+        a, b = t(3, 2, 1), quantum_minor(3, (1, 3), (1, 3))
+        assert qcommutation_exponent(a * b, b * a) is None
+        assert qcommutation_exponent(b * a, a * b) is None
+
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             qcommutation_probe(Element.zero(2), t(2, 1, 1))
+        with pytest.raises(ValueError):
+            qcommutation_probe(t(2, 1, 1), Element.zero(2))
 
     def test_inhomogeneous_rejected(self):
         with pytest.raises(ValueError):
             qcommutation_probe(t(2, 1, 1) + Element.unit(2), t(2, 1, 1))
+        with pytest.raises(ValueError):
+            qcommutation_probe(t(2, 1, 1), t(2, 1, 1) + Element.unit(2))
 
 
 class TestMinorInvariants:
