@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from .algebra import DegreeCapError
+from .algebra import DegreeCapError, Element
 from .exprparse import ExprSyntaxError, parse_element
 from .identities import (
     NOT_APPLICABLE,
@@ -26,7 +26,7 @@ from .identities import (
     gap_index,
     run_suite,
 )
-from .minors import MinorId, quantum_minor
+from .minors import MinorId, minor_element, quantum_minor
 from .ore import (
     LEFT,
     RIGHT,
@@ -102,13 +102,19 @@ def _cmd_identity(args) -> int:
     kind = args.kind
     if kind != "muir" and (args.k is None or args.l is None):
         raise UsageError(f"--k and --l are required for {kind} checks")
+    if kind == "muir" and args.cols2 is None:
+        raise UsageError("--cols2 is required for muir checks")
+    # every given label must name a minor or a generator at this n (the checks sort the columns)
+    for cols in (args.cols, args.cols2):
+        if cols is not None:
+            minor_element(args.n, MinorId(args.rows, sorted(cols)))
+    if args.k is not None and args.l is not None:
+        Element.generator(args.n, args.k, args.l)
     if kind == "centrality":
         res = check_centrality(args.n, args.rows, args.cols, args.k, args.l)
     elif kind == "q-commutation":
         res = check_qcommutation(args.n, args.rows, args.cols, args.k, args.l)
     elif kind == "muir":
-        if args.cols2 is None:
-            raise UsageError("--cols2 is required for muir checks")
         res = check_muir(args.n, args.rows, args.cols, args.cols2)
     elif kind == "gap-one":
         res = check_gap_one(args.n, args.rows, args.cols, args.k, args.l)

@@ -55,6 +55,12 @@ class MinorId:
         c = ",".join(map(str, self.cols))
         return f"D[{{{r}}},{{{c}}}]"
 
+    def antitranspose(self, n: int) -> "MinorId":
+        """The minor whose element is this one's image under
+        ``Element.antitranspose``: rows and columns swap, and each label
+        ``x`` becomes ``n + 1 - x``."""
+        return MinorId(sorted(n + 1 - x for x in self.cols), sorted(n + 1 - x for x in self.rows))
+
 
 def inversions(perm: Sequence[int]) -> int:
     count = 0

@@ -7,8 +7,8 @@ against the set generated by a minor ``D``:
 * right form:  ``scale * e * D^power  ==  D^target_power * cofactor``
 
 The right form is the left form in the opposite algebra (every product
-read in reverse order), so one body of code serves both forms and
-:func:`_times` alone says which order a product takes.
+read in reverse order), so one body of code serves both forms; the
+solver asks right-form questions only (see :func:`_solve_at_power`).
 
 ``scale`` is a central Laurent scalar (the product of cleared denominators;
 ``1`` in every constructive witness), and ``target_power`` is 1 except for
@@ -170,21 +170,23 @@ def _node(rule: str, detail: Optional[dict] = None, children: Optional[list[dict
 
 
 def _solve_at_power(n: int, minor: MinorId, element: Element, side: str, m: int):
-    """Try to solve for a cofactor at a fixed power; None when infeasible."""
+    """Try to solve for a cofactor at a fixed power; None when infeasible.
+    Right-form systems ``scale * e * D^m == D * x`` only: a left question is
+    asked for the antitransposed minor and element, whose cofactor maps back."""
+    if side == LEFT:
+        minor, element = minor.antitranspose(n), element.antitranspose()
     D = minor_element(n, minor)
-    d_deg = D.multidegree()
-    target = _times(side, _minor_power(n, minor, m), element)
-    t_deg = target.multidegree()
-    x_deg = t_deg.minus(d_deg)  # (m - 1) deg D + deg e: never negative
+    target = element * _minor_power(n, minor, m)
+    x_deg = target.multidegree().minus(D.multidegree())  # (m - 1) deg D + deg e: never negative
     basis = basis_monomials(n, x_deg.rows, x_deg.cols)
-    columns = [_times(side, Element(n, [(b, 1)]), D)._t for b in basis]
+    columns = [(D * Element(n, [(b, 1)]))._t for b in basis]
     sol = solve_linear(columns, target._t)
     if not sol.consistent:
         return None, {"power": m, "reason": "inconsistent linear system", "rank": sol.rank,
                       "unknowns": len(basis), "equations": sol.equations}
     scale, laurents = clear_denominators(sol.solution)
     cofactor = Element(n, [(b, c) for b, c in zip(basis, laurents) if not c.is_zero()])
-    return (scale, cofactor), None
+    return (scale, cofactor.antitranspose() if side == LEFT else cofactor), None
 
 
 def _factor_scale(scale: LaurentQ) -> list[LaurentQ]:
@@ -450,11 +452,8 @@ def _generator_witness(n: int, minor: MinorId, k: int, l: int, side: str) -> Ore
     t = Element.generator(n, k, l)
     t_witness = partial(OreWitness, n=n, minor=minor, element=t, side=side)
     if side == RIGHT:
-        # anti-automorphism t[i,j] -> t[n+1-j, n+1-i] turns right clearances
-        # into left clearances for the reflected minor
-        w0 = lambda s: tuple(sorted(n + 1 - x for x in s))  # noqa: E731
-        mirror_minor = MinorId(w0(minor.cols), w0(minor.rows))
-        left = witness_generator_constructive(n, mirror_minor, n + 1 - l, n + 1 - k, LEFT)
+        # the antitranspose turns right clearances into left ones for the mirrored minor
+        left = witness_generator_constructive(n, minor.antitranspose(n), n + 1 - l, n + 1 - k, LEFT)
         return t_witness(
             power=left.power, cofactor=left.cofactor.antitranspose(), scale=left.scale,
             derivation=_node("mirror", {"map": "t[i,j] -> t[n+1-j,n+1-i]"}, [left.derivation]),

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import pytest
 
@@ -210,6 +210,16 @@ class TestTranspose:
             x = rand_element(rng, 3)
             y = rand_element(rng, 3)
             assert (x * y).antitranspose() == y.antitranspose() * x.antitranspose()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_antitranspose_maps_each_sorted_word_to_one_sorted_word(self, n):
+        """The lemma behind the solver's one form: the image of a PBW word is
+        the sorted image of its letters, with coefficient 1."""
+        letters = sorted((i, j) for i in range(1, n + 1) for j in range(1, n + 1))
+        for length in range(5):
+            for w in combinations_with_replacement(letters, length):
+                image = sorted((n + 1 - j, n + 1 - i) for i, j in w)
+                assert Element(n, [(w, 1)]).antitranspose().terms() == [(tuple(image), ONE)]
 
     def test_involutions(self):
         rng = random.Random(47)

@@ -231,6 +231,18 @@ class TestIdentityVerb:
         )
         assert code == EXIT_PRECONDITION
 
+    @pytest.mark.parametrize("labels", [
+        ["--kind", "centrality", "--rows", "1", "--cols", "1", "--k", "9", "--l", "9"],
+        ["--kind", "gap-one", "--rows", "7", "--cols", "1", "--k", "1", "--l", "2"],
+        ["--kind", "muir", "--rows", "1,9", "--cols", "1,2", "--cols2", "3,4"],
+    ])
+    def test_labels_outside_the_algebra_are_refused(self, capsys, labels):
+        """A generator or minor that does not exist at n is an error, not a not-applicable result."""
+        code, out, err = run(capsys, "identity", "--n", "3", *labels)
+        assert code == EXIT_PRECONDITION
+        assert out == ""
+        assert err.startswith("qmb: ") and err.count("\n") == 1
+
     def test_gap_r_inferred(self, capsys):
         code, out, _ = run(
             capsys, "identity", "--n", "4", "--kind", "gap-r",

@@ -63,7 +63,19 @@ class TestConstruction:
         sorted_minor = quantum_minor_columns(3, (1, 2), (1, 2))
         swapped = quantum_minor_columns(3, (1, 2), (2, 1))
         assert sorted_minor != swapped
-        assert qcommutation_probe(sorted_minor, swapped) is None or True  # merely distinct
+        assert qcommutation_probe(sorted_minor, swapped) == 0  # distinct, yet they commute
+
+
+class TestAntitranspose:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_element_of_the_image_is_the_image_of_the_element(self, n):
+        for size in range(1, n + 1):
+            for rows in combinations(range(1, n + 1), size):
+                for cols in combinations(range(1, n + 1), size):
+                    minor = MinorId(rows, cols)
+                    image = minor.antitranspose(n)
+                    assert minors.minor_element(n, image) == minors.minor_element(n, minor).antitranspose()
+                    assert image.antitranspose(n) == minor
 
 
 class TestSizeBound:
