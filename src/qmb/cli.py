@@ -3,7 +3,8 @@
 Batch verbs only; every invocation fixes one algebra size with ``--n``.
 Exit codes: 0 success, 2 usage or expression syntax error, 3 precondition
 failure or an OS error on a file, 4 no witness within the power bound, 5
-check or certificate failure, 6 degree cap or minor-size bound exceeded.
+check or certificate failure, 6 degree cap, minor-size or matrix-size bound
+exceeded.
 """
 
 from __future__ import annotations
@@ -23,10 +24,9 @@ from .identities import (
     check_gap_r,
     check_muir,
     check_qcommutation,
-    gap_index,
     run_suite,
 )
-from .minors import MinorId, minor_element, quantum_minor
+from .minors import MinorId, check_matrix_size, minor_element, quantum_minor
 from .ore import (
     LEFT,
     RIGHT,
@@ -110,17 +110,12 @@ def _cmd_identity(args) -> int:
             minor_element(args.n, MinorId(args.rows, sorted(cols)))
     if args.k is not None and args.l is not None:
         Element.generator(args.n, args.k, args.l)
-    if kind == "centrality":
-        res = check_centrality(args.n, args.rows, args.cols, args.k, args.l)
-    elif kind == "q-commutation":
-        res = check_qcommutation(args.n, args.rows, args.cols, args.k, args.l)
+    generator_checks = {"centrality": check_centrality, "q-commutation": check_qcommutation,
+                        "gap-one": check_gap_one, "gap-r": check_gap_r}
+    if kind in generator_checks:
+        res = generator_checks[kind](args.n, args.rows, args.cols, args.k, args.l)
     elif kind == "muir":
         res = check_muir(args.n, args.rows, args.cols, args.cols2)
-    elif kind == "gap-one":
-        res = check_gap_one(args.n, args.rows, args.cols, args.k, args.l)
-    elif kind == "gap-r":
-        r = gap_index(args.cols, args.l) if args.r is None else args.r
-        res = check_gap_r(args.n, args.rows, args.cols, args.k, args.l, r)
     else:  # membership
         if args.element is None:
             raise UsageError("--element is required for membership checks")
@@ -204,7 +199,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, "text")
     p.set_defaults(func=_cmd_commutator)
 
-    p = sub.add_parser("identity", help="check one identity configuration")
+    # options in full only: an abbreviation such as --r would read as --rows
+    p = sub.add_parser("identity", help="check one identity configuration", allow_abbrev=False)
     p.add_argument("--kind", required=True,
                    choices=("centrality", "q-commutation", "muir", "gap-one", "gap-r", "membership"))
     p.add_argument("--rows", type=_labels, required=True)
@@ -212,7 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cols2", type=_labels, default=None, help="second column set (muir)")
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--l", type=int, default=None)
-    p.add_argument("--r", type=int, default=None, help="gap index (gap-r; inferred when omitted)")
     p.add_argument("--element", default=None, help="element expression (membership)")
     common(p)
     p.set_defaults(func=_cmd_identity)
@@ -231,7 +226,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--elem", required=True)
     p.add_argument("--side", choices=("left", "right"), default="left")
     p.add_argument("--max-power", type=_positive_int, default=None,
-                   help="highest power to try (default: scan up to the degree cap)")
+                   help="highest power of the returned witness, on every strategy "
+                        "(default: scan up to the degree cap)")
     p.add_argument("--strategy", choices=("solver", "constructive", "both"), default="solver")
     common(p)
     p.set_defaults(func=_cmd_ore)
@@ -247,6 +243,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if "n" in args:
+            check_matrix_size(args.n)
         return args.func(args)
     except UsageError as exc:
         print(f"qmb: {exc}", file=sys.stderr)

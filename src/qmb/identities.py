@@ -63,14 +63,23 @@ class CheckResult:
         return out
 
 
-def _cfg(n, K=None, L=None, **extra) -> dict:
-    out = {"n": n}
-    if K is not None:
-        out["K"] = list(K)
-    if L is not None:
-        out["L"] = list(L)
-    out.update(extra)
-    return out
+def _cfg(n, K, L, **extra) -> dict:
+    return {"n": n, "K": list(K), "L": list(L), **extra}
+
+
+def _first_verified(identity: str, cfg: dict, lhs: Element, readings: Iterable[tuple[dict, Element]]) -> CheckResult:
+    """VERIFIED under the first ``(convention, rhs)`` of ``readings`` with
+    ``rhs == lhs``, or FAILED with the first reading's residual and every
+    convention key None.  ``readings`` is drawn lazily, so no right-hand side
+    past the verifying one is formed."""
+    first = None
+    for convention, rhs in readings:
+        residual = lhs - rhs
+        if residual.is_zero():
+            return CheckResult(identity, cfg, VERIFIED, residual, convention)
+        first = first or (convention, residual)
+    convention, residual = first
+    return CheckResult(identity, cfg, FAILED, residual, dict.fromkeys(convention))
 
 
 def generator_position(K: Sequence[int], L: Sequence[int], k: int, l: int) -> str:
@@ -92,7 +101,7 @@ def generator_position(K: Sequence[int], L: Sequence[int], k: int, l: int) -> st
 
 def check_centrality(n: int, K: Sequence[int], L: Sequence[int], k: int, l: int) -> CheckResult:
     """Generators indexed inside both sets commute with the minor exactly."""
-    K, L = tuple(K), tuple(L)
+    K, L = tuple(K), tuple(sorted(L))
     cfg = _cfg(n, K, L, k=k, l=l)
     if generator_position(K, L, k, l) != "central":
         return CheckResult("centrality", cfg, NOT_APPLICABLE)
@@ -103,7 +112,7 @@ def check_centrality(n: int, K: Sequence[int], L: Sequence[int], k: int, l: int)
 def check_qcommutation(n: int, K: Sequence[int], L: Sequence[int], k: int, l: int) -> CheckResult:
     """t[k,l] q-commutes with the minor when one label is inside its set and
     the other lies outside the range of its set; the exponent is measured."""
-    K, L = tuple(K), tuple(L)
+    K, L = tuple(K), tuple(sorted(L))
     cfg = _cfg(n, K, L, k=k, l=l)
     geometry = generator_position(K, L, k, l)
     if not geometry.endswith(("below", "above")):
@@ -194,21 +203,13 @@ def check_gap_one(n: int, K: Sequence[int], L: Sequence[int], k: int, l: int) ->
     cfg = _cfg(n, K, L, k=k, l=l)
     if generator_position(K, L, k, l) != "column-gap" or gap_index(L, l) != 1:
         return CheckResult("gap-one", cfg, NOT_APPLICABLE)
-    lhs = _gap_lhs(n, K, L, k, l)
     # the general-gap expansion at gap index 1 is this one term
     ((coeff, (row, col), Lp),) = gap_correction_terms(n, K, L, k, l)
     Dp = quantum_minor(n, K, Lp)
     t1 = Element.generator(n, row, col)
-    candidates = [
-        ("generator-first", (t1 * Dp).scale(coeff)),
-        ("minor-first", (Dp * t1).scale(coeff)),
-    ]
-    for name, rhs in candidates:
-        residual = lhs - rhs
-        if residual.is_zero():
-            return CheckResult("gap-one", cfg, VERIFIED, residual, {"factor_order": name})
-    residual = lhs - candidates[0][1]
-    return CheckResult("gap-one", cfg, FAILED, residual, {"factor_order": None})
+    orders = (("generator-first", t1, Dp), ("minor-first", Dp, t1))
+    return _first_verified("gap-one", cfg, _gap_lhs(n, K, L, k, l),
+                           (({"factor_order": name}, (a * b).scale(coeff)) for name, a, b in orders))
 
 
 GAP_READINGS = [
@@ -219,24 +220,21 @@ GAP_READINGS = [
 ]
 
 
-def check_gap_r(n: int, K: Sequence[int], L: Sequence[int], k: int, l: int, r: int) -> CheckResult:
+def check_gap_r(n: int, K: Sequence[int], L: Sequence[int], k: int, l: int) -> CheckResult:
     """General-gap commutation: k in K, l_r < l < l_{r+1}.
 
-    The unbound row index of the correction factors and the ordering of the
-    replaced column lists are both ambiguous in the source statement; every
-    combination is tried and the verifying reading recorded.
+    The gap index ``r`` is derived (:func:`gap_index`) and recorded in the
+    config.  The unbound row index of the correction factors and the ordering
+    of the replaced column lists are both ambiguous in the source statement;
+    every combination is tried and the verifying reading recorded.
     """
     K, L = tuple(K), tuple(sorted(L))
+    r = gap_index(L, l)
     cfg = _cfg(n, K, L, k=k, l=l, r=r)
-    if generator_position(K, L, k, l) != "column-gap" or r != gap_index(L, l):
+    if generator_position(K, L, k, l) != "column-gap":
         return CheckResult("gap-r", cfg, NOT_APPLICABLE)
-    lhs = _gap_lhs(n, K, L, k, l)
-    for reading in GAP_READINGS:
-        residual = lhs - _gap_rhs(n, K, L, k, l, r, **reading)
-        if residual.is_zero():
-            return CheckResult("gap-r", cfg, VERIFIED, residual, dict(reading))
-    residual = lhs - _gap_rhs(n, K, L, k, l, r, **GAP_READINGS[0])
-    return CheckResult("gap-r", cfg, FAILED, residual, {"row_reading": None, "column_reading": None})
+    return _first_verified("gap-r", cfg, _gap_lhs(n, K, L, k, l),
+                           ((dict(reading), _gap_rhs(n, K, L, k, l, r, **reading)) for reading in GAP_READINGS))
 
 
 def gap_correction_terms(n: int, K: tuple, L: tuple, k: int, l: int) -> list[tuple[LaurentQ, tuple[int, int], tuple]]:
@@ -296,7 +294,7 @@ def check_E0_membership(
     leaf contributions, so the check verifies exactly when every leaf
     certifies (or the offenders cancel).
     """
-    K, L = tuple(K), tuple(L)
+    K, L = tuple(K), tuple(sorted(L))
     kp, lp = outside
     cfg = _cfg(n, K, L, outside=[kp, lp])
     if generator_position(K, L, kp, lp) != "outside":
@@ -423,8 +421,8 @@ def run_suite(n_max: int = 4, size_cap: Optional[int] = 3, include_membership: b
         for k in range(1, n + 1):
             for l in range(1, n + 1):
                 # the guards of the generator checks decide which apply
-                for res in (check_centrality(n, K, L, k, l), check_qcommutation(n, K, L, k, l),
-                            check_gap_r(n, K, L, k, l, gap_index(L, l)), check_gap_one(n, K, L, k, l)):
+                for check in (check_centrality, check_qcommutation, check_gap_r, check_gap_one):
+                    res = check(n, K, L, k, l)
                     if res.status != NOT_APPLICABLE:
                         results.append(res)
         # minors differing in one column label: the pair (L, L') also gives

@@ -76,6 +76,18 @@ def inversions(perm: Sequence[int]) -> int:
 # and 700 MB, and at m = 9 the expansion alone takes 13 s.
 MAX_MINOR_SIZE = 7
 
+# The largest matrix size n.  Multidegrees are lists of length n, so the cost
+# of even one generator grows with n: on the same VM, ``qmb ore`` for
+# ``t[2,2]`` against ``D[{1},{1}]`` takes 0.12 s and 16 MB at n = 10^3 and
+# 1.6 s and 85 MB at n = 10^6; at n = 10^18 the list alone is a MemoryError.
+MAX_MATRIX_SIZE = 1000
+
+
+def check_matrix_size(n: int) -> None:
+    """Refuse a matrix size above ``MAX_MATRIX_SIZE`` (``DegreeCapError``)."""
+    if n > MAX_MATRIX_SIZE:
+        raise DegreeCapError(f"matrix size {n} exceeds the largest supported size {MAX_MATRIX_SIZE}")
+
 
 @lru_cache(maxsize=4096)
 def _minor_columns_cached(n: int, rows: tuple, cols: tuple) -> Element:

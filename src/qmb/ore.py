@@ -46,7 +46,7 @@ from .algebra import Element, _check_cap, basis_monomials, commutator
 from .exprparse import ExprSyntaxError, parse_element, parse_laurent
 from .identities import commutator_terms, gap_correction_terms, generator_position
 from .linalg import clear_denominators, solve_linear
-from .minors import MinorId, minor_element, qcommutation_probe
+from .minors import MinorId, check_matrix_size, minor_element, qcommutation_probe
 from .scalars import ONE, QINV, LaurentQ
 
 LEFT = "left-form"
@@ -59,7 +59,9 @@ class CertificateError(RuntimeError):
 
 
 class UnsatWithinBound(RuntimeError):
-    """No witness exists up to the requested power bound."""
+    """No witness within the requested power bound: the solver found none up
+    to it (``infeasible`` holds its records), or the constructive route's
+    witness exceeds it (``infeasible`` is empty)."""
 
     def __init__(self, message: str, infeasible: list[dict]):
         super().__init__(message)
@@ -564,7 +566,9 @@ def witness_for_element(
     ``constructive`` decomposes into monomials of generator witnesses;
     ``solver`` solves componentwise; ``both`` runs the two routes and
     cross-validates (both certificates must replay; powers may differ), and
-    returns the solver witness."""
+    returns the solver witness.  On every route a returned witness has power
+    at most ``m_max``: a constructive witness above it raises
+    ``UnsatWithinBound``, although a smaller power may exist."""
     if strategy == "solver":
         return solve_witness(n, minor, element, side, m_max)
     if strategy == "both":
@@ -578,7 +582,11 @@ def witness_for_element(
     if strategy != "constructive":
         raise ValueError(f"unknown strategy {strategy!r}")
     _check_question(n, element, side)
-    return _witness_constructive(n, minor, element, side).certify()
+    w = _witness_constructive(n, minor, element, side)
+    if m_max is not None and w.power > m_max:
+        raise UnsatWithinBound(f"the constructive witness for {element.render()} against {minor.label()} "
+                               f"({side}) has power {w.power}, above the bound {m_max}", [])
+    return w.certify()
 
 
 # -- multi-minor chains --------------------------------------------------------------
@@ -692,6 +700,7 @@ def witness_from_json(data: dict) -> OreWitness | ChainWitness:
     if data["schema"] not in DERIVED_KEYS:
         raise ValueError(f"unsupported witness schema {data['schema']!r}")
     n = _json_int(data, "n")
+    check_matrix_size(n)
     element = parse_element(data["element"], n)
     if data["schema"] == "qmb-witness-v1":
         w = OreWitness(

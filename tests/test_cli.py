@@ -252,6 +252,22 @@ class TestIdentityVerb:
         data = json.loads(out)
         assert data["convention"]["row_reading"] == "same-row"
 
+    @pytest.mark.parametrize("kind, k, l", [
+        ("centrality", 1, 3), ("q-commutation", 3, 1), ("gap-one", 1, 2), ("gap-r", 1, 2),
+    ])
+    def test_columns_are_read_as_a_set(self, capsys, kind, k, l):
+        argv = ["identity", "--n", "3", "--kind", kind, "--rows", "1,2", "--k", str(k), "--l", str(l)]
+        sorted_cols = run(capsys, *argv, "--cols", "1,3")
+        assert sorted_cols[0] == EXIT_OK
+        assert run(capsys, *argv, "--cols", "3,1") == sorted_cols
+
+    def test_no_gap_index_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["identity", "--n", "4", "--kind", "gap-r", "--rows", "1,2,4", "--cols", "1,2,4",
+                  "--k", "4", "--l", "3", "--r", "2"])
+        assert exc.value.code == EXIT_USAGE
+        assert "unrecognized arguments: --r 2" in capsys.readouterr().err
+
     def test_membership_failure_exit(self, capsys):
         code, out, _ = run(
             capsys, "identity", "--n", "3", "--kind", "membership",
@@ -332,6 +348,7 @@ class TestOreVerb:
         ({"cofactor": None}, EXIT_PRECONDITION),  # None removes the key
         ({"power": 1000000}, EXIT_DEGREE_CAP),
         ({"n": 0}, EXIT_PRECONDITION),
+        ({"n": 10**18}, EXIT_DEGREE_CAP),
         ({"cofactor": "t[1,"}, EXIT_PRECONDITION),
         ({"infeasible_powers": 5}, EXIT_PRECONDITION),
         ({"power": 1}, EXIT_PRECONDITION),  # power 1 is listed as infeasible
@@ -354,7 +371,7 @@ class TestOreVerb:
         (lambda d: d.update(links=[]), EXIT_PRECONDITION),
         (lambda d: d["links"][0]["infeasible_powers"][0].update(rank=0), EXIT_PRECONDITION),
     ], ids=["wrong-power", "partial-infeasible", "unknown-side", "negative-power", "zero-powers",
-            "zero-target-power", "zero-scale", "zero-element", "missing-key", "huge-power", "zero-n",
+            "zero-target-power", "zero-scale", "zero-element", "missing-key", "huge-power", "zero-n", "huge-n",
             "unparsable-cofactor",
             "bad-infeasible-non-list", "bad-infeasible-at-power", "bad-infeasible-repeated",
             "bad-infeasible-non-integer", "infeasible-inhomogeneous", "wrong-denominator-zeros",
@@ -398,6 +415,33 @@ class TestOreVerb:
                            "--elem", "t[1,2]")
         assert code == EXIT_OK
         assert json.loads(out)["certified"] is True
+
+    @pytest.mark.parametrize("argv", [
+        ("ore", "--n", "1000000000000000000", "--minor-rows", "1", "--minor-cols", "1", "--elem", "t[1,1]"),
+        ("identity", "--n", "1000000000000000000", "--kind", "q-commutation", "--rows", "1", "--cols", "1",
+         "--k", "1", "--l", "2"),
+        ("suite", "--n", "1001"),
+    ], ids=["ore", "identity", "suite"])
+    def test_matrix_size_over_the_bound(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_DEGREE_CAP
+        assert out == "" and err.startswith("qmb: ") and err.count("\n") == 1
+
+    # the constructive witness has power 5, above the minimal power 3
+    @pytest.mark.parametrize("chain", [False, True], ids=["one-minor", "two-minors"])
+    def test_max_power_bounds_the_constructive_route(self, capsys, chain):
+        argv = ["ore", "--n", "3", "--minor-rows", "1,3", "--minor-cols", "1,3", "--elem", "t[2,2]",
+                "--strategy", "constructive"]
+        if chain:
+            argv += ["--minor-rows", "2", "--minor-cols", "2"]
+        code, out, err = run(capsys, *argv, "--max-power", "1")
+        assert code == EXIT_UNSAT
+        assert out == "" and err.startswith("qmb: ") and err.count("\n") == 1
+        assert run(capsys, *argv, "--max-power", "4")[0] == EXIT_UNSAT
+        code, out, _ = run(capsys, *argv, "--max-power", "5")
+        assert code == EXIT_OK
+        data = json.loads(out)
+        assert (data["powers"] == [5, 1]) if chain else (data["power"] == 5)
 
     def test_chain_max_power(self, capsys):
         # each link needs power 2

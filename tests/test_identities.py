@@ -182,27 +182,29 @@ class TestGapOne:
 class TestGapR:
     def test_r1_matches_gap_one_reading(self):
         n, K, L, k, l = 3, (1, 2), (1, 3), 1, 2
-        res = check_gap_r(n, K, L, k, l, 1)
+        res = check_gap_r(n, K, L, k, l)
         assert res.status == VERIFIED
         assert res.convention == {"row_reading": "same-row", "column_reading": "sorted"}
         res1 = check_gap_one(n, K, L, k, l)
         assert res1.status == VERIFIED
 
     def test_depth_two_instance(self):
-        res = check_gap_r(4, (1, 2, 4), (1, 2, 4), 4, 3, 2)
+        res = check_gap_r(4, (1, 2, 4), (1, 2, 4), 4, 3)
         assert res.status == VERIFIED
         assert res.convention == {"row_reading": "same-row", "column_reading": "sorted"}
 
     def test_general_row_not_max(self):
-        res = check_gap_r(4, (1, 2, 4), (1, 2, 4), 1, 3, 2)
+        res = check_gap_r(4, (1, 2, 4), (1, 2, 4), 1, 3)
         assert res.status == VERIFIED
         assert res.convention["row_reading"] == "same-row"
 
     def test_inside_label_not_applicable(self):
-        assert check_gap_r(4, (1, 2, 4), (1, 2, 4), 1, 2, 1).status == NOT_APPLICABLE
+        assert check_gap_r(4, (1, 2, 4), (1, 2, 4), 1, 2).status == NOT_APPLICABLE
 
-    def test_wrong_r_not_applicable(self):
-        assert check_gap_r(4, (1, 2, 4), (1, 2, 4), 4, 3, 1).status == NOT_APPLICABLE
+    def test_gap_index_is_derived(self):
+        res = check_gap_r(4, (1, 2, 4), (1, 2, 4), 4, 3)
+        assert res.status == VERIFIED
+        assert res.config["r"] == 2
 
     def test_correction_terms_replay(self):
         n, K, L, k, l = 4, (1, 2, 4), (1, 2, 4), 4, 3
@@ -215,6 +217,34 @@ class TestGapR:
         for coeff, (row, col), Lp in terms:
             rhs = rhs + (Element.generator(n, row, col) * quantum_minor(n, K, Lp)).scale(coeff)
         assert lhs == rhs
+
+
+class TestGapFailures:
+    """When no reading verifies, a gap check fails with the first reading's
+    residual and every convention key None."""
+
+    def test_gap_one(self, monkeypatch):
+        n, K, L, k, l = 3, (1, 2), (1, 3), 1, 2
+        ((coeff, (row, col), Lp),) = gap_correction_terms(n, K, L, k, l)
+        monkeypatch.setattr(identities, "gap_correction_terms",
+                            lambda *args: [(coeff + coeff, (row, col), Lp)])
+        res = check_gap_one(n, K, L, k, l)
+        D, t = quantum_minor(n, K, L), Element.generator(n, k, l)
+        generator_first = (Element.generator(n, row, col) * quantum_minor(n, K, Lp)).scale(coeff + coeff)
+        assert res.status == FAILED
+        assert res.residual == D * t - QINV * (t * D) - generator_first
+        assert res.convention == {"factor_order": None}
+
+    def test_gap_r(self, monkeypatch):
+        n, K, L, k, l = 4, (1, 2, 4), (1, 2, 4), 4, 3
+        gap_rhs = identities._gap_rhs
+        monkeypatch.setattr(identities, "_gap_rhs", lambda *args, **reading: 2 * gap_rhs(*args, **reading))
+        res = check_gap_r(n, K, L, k, l)
+        D, t = quantum_minor(n, K, L), Element.generator(n, k, l)
+        first = 2 * gap_rhs(n, K, L, k, l, 2, **identities.GAP_READINGS[0])
+        assert res.status == FAILED
+        assert res.residual == D * t - QINV * (t * D) - first
+        assert res.convention == {"row_reading": None, "column_reading": None}
 
 
 class TestGeneratorPosition:

@@ -9,8 +9,10 @@ from qmb import minors
 from qmb.algebra import DegreeCapError, Element, MultiDegree, commutator
 from qmb.exprparse import parse_element
 from qmb.minors import (
+    MAX_MATRIX_SIZE,
     MAX_MINOR_SIZE,
     MinorId,
+    check_matrix_size,
     column_replace,
     index_set,
     qcommutation_exponent,
@@ -96,6 +98,13 @@ class TestSizeBound:
         monkeypatch.setattr(minors, "permutations", refuse)
         with pytest.raises(DegreeCapError):
             build(tuple(range(1, 9)))
+
+    def test_matrix_size_bound(self):
+        assert MAX_MATRIX_SIZE == 1000
+        check_matrix_size(MAX_MATRIX_SIZE)
+        for n in (MAX_MATRIX_SIZE + 1, 10**18):
+            with pytest.raises(DegreeCapError):
+                check_matrix_size(n)
 
 
 class TestColumnReplace:

@@ -521,6 +521,19 @@ class TestChains:
             multi_minor_witness(3, CHAIN_MINORS, gen(3, 1, 1), LEFT, "solver", m_max=1)
         assert multi_minor_witness(3, CHAIN_MINORS, gen(3, 1, 1), LEFT, "solver", m_max=2).powers == [2, 2]
 
+    def test_power_bound_applies_to_the_constructive_route(self):
+        # the constructive witness has power 5; the minimal power is 3
+        minor, t22 = MinorId((1, 3), (1, 3)), gen(3, 2, 2)
+        assert witness_for_element(3, minor, t22, LEFT, "constructive").power == 5
+        with pytest.raises(UnsatWithinBound):
+            witness_for_element(3, minor, t22, LEFT, "constructive", m_max=4)
+        assert witness_for_element(3, minor, t22, LEFT, "constructive", m_max=5).power == 5
+        assert witness_for_element(3, minor, t22, LEFT, "both", m_max=3).power == 3
+        chain = [minor, MinorId((2,), (2,))]
+        with pytest.raises(UnsatWithinBound):
+            multi_minor_witness(3, chain, t22, LEFT, "constructive", m_max=4)
+        assert multi_minor_witness(3, chain, t22, LEFT, "constructive", m_max=5).powers == [5, 1]
+
 
 class TestWitnessFiles:
     def test_round_trip_and_verify(self, tmp_path):
