@@ -171,7 +171,9 @@ def reduce_terms(
     ``strategy`` picks which out-of-order adjacent pair to reduce first
     (``leftmost`` or ``rightmost``); the result is strategy-independent, which
     the test suite exercises as confluence evidence.  This reducer is kept
-    independent of the cached multiplication path on purpose.
+    independent of the cached multiplication path on purpose, and runs only
+    on lists whose words may be out of order (``Element(n, terms)``,
+    ``normal_form``); products and the transposes keep words sorted.
     """
     if strategy not in ("leftmost", "rightmost"):
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -401,23 +403,24 @@ class Element:
 
     # -- structural maps ---------------------------------------------------
 
+    def _relabel(self, letter) -> "Element":
+        """Image under a letter map that sends every sorted word to the sorted
+        word of its letters' images, with coefficient 1 (README lemma 1)."""
+        return Element._make(self.n, {tuple(sorted(map(letter, w))): c for w, c in self._t.items()})
+
     def transpose(self) -> "Element":
         """Image under the index swap ``t[i,j] -> t[j,i]`` (an algebra map)."""
-        pending = [(c, tuple((j, i) for i, j in w)) for w, c in self._t.items()]
-        return Element._make(self.n, reduce_terms(pending))
+        return self._relabel(lambda g: (g[1], g[0]))
 
     def antitranspose(self) -> "Element":
         """Image under ``t[i,j] -> t[n+1-j, n+1-i]`` with word reversal.
 
         This is an anti-automorphism (it reverses products), used to derive
-        right-sided statements from left-sided ones.
+        right-sided statements from left-sided ones.  The reversal needs no
+        step of its own: the image word is sorted either way.
         """
-        n = self.n
-        pending = [
-            (c, tuple((n + 1 - j, n + 1 - i) for i, j in reversed(w)))
-            for w, c in self._t.items()
-        ]
-        return Element._make(self.n, reduce_terms(pending))
+        m = self.n + 1
+        return self._relabel(lambda g: (m - g[1], m - g[0]))
 
     def specialize(self, q0: Union[int, Fraction]) -> dict[Word, Fraction]:
         """Coefficients evaluated at ``q = q0``; at ``q0 = 1`` the keys read as

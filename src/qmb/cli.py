@@ -22,7 +22,7 @@ from .identities import (
     check_E0_membership,
     check_gap_one,
     check_gap_r,
-    check_muir,
+    check_muir_pair,
     check_qcommutation,
     run_suite,
 )
@@ -115,7 +115,7 @@ def _cmd_identity(args) -> int:
     if kind in generator_checks:
         res = generator_checks[kind](args.n, args.rows, args.cols, args.k, args.l)
     elif kind == "muir":
-        res = check_muir(args.n, args.rows, args.cols, args.cols2)
+        res = check_muir_pair(args.n, args.rows, args.cols, args.cols2)[0]
     else:  # membership
         if args.element is None:
             raise UsageError("--element is required for membership checks")

@@ -31,7 +31,7 @@ from itertools import combinations, product
 from typing import Iterable, Optional, Sequence
 
 from .algebra import Element, commutator
-from .minors import qcommutation_exponent, qcommutation_probe, quantum_minor, quantum_minor_columns
+from .minors import column_replace, qcommutation_exponent, qcommutation_probe, quantum_minor, quantum_minor_columns
 from .scalars import LaurentQ, ONE, QINV, Q_MINUS_QINV
 
 VERIFIED = "verified"
@@ -128,13 +128,6 @@ def check_qcommutation(n: int, K: Sequence[int], L: Sequence[int], k: int, l: in
     return CheckResult("q-commutation", cfg, FAILED, residual, conv)
 
 
-def check_muir(n: int, K: Sequence[int], L: Sequence[int], Lprime: Sequence[int]) -> CheckResult:
-    """Minors over the same rows whose column sets differ by one interchanged
-    label q-commute with exponent +-1; the sign is measured per geometry.
-    The first result of :func:`check_muir_pair`."""
-    return check_muir_pair(n, K, L, Lprime)[0]
-
-
 def check_muir_pair(n: int, K: Sequence[int], L: Sequence[int], Lprime: Sequence[int]) -> tuple[CheckResult, CheckResult]:
     """The Muir checks of ``(L, L')`` and of ``(L', L)``, each measured from
     the two products ``D_L D_L'`` and ``D_L' D_L``, which are formed once."""
@@ -178,7 +171,7 @@ def _gap_terms(K, L, k, l, r, row_reading: str, column_reading: str) -> list:
         lu = L[u - 1]
         weight = LaurentQ({(u - r): (-1) ** (u - r)})  # (-q)^(u-r)
         if column_reading == "sorted":
-            columns = tuple(sorted((set(L) - {lu}) | {l}))
+            columns = column_replace(L, u, l)
         else:
             columns = L[: u - 1] + (l,) + L[u:]
         terms.append((weight * _GAP_COEFF, (row, lu), columns))
@@ -427,10 +420,10 @@ def run_suite(n_max: int = 4, size_cap: Optional[int] = 3, include_membership: b
                         results.append(res)
         # minors differing in one column label: the pair (L, L') also gives
         # the result of (L', L), which waits here until the sweep reaches it
-        for a in L:
+        for position in range(1, len(L) + 1):
             for b in range(1, n + 1):
                 if b not in L:
-                    Lp = tuple(sorted((set(L) - {a}) | {b}))
+                    Lp = column_replace(L, position, b)
                     res = mirrored.pop((n, K, L, Lp), None)
                     if res is None:
                         res, mirrored[(n, K, Lp, L)] = check_muir_pair(n, K, L, Lp)

@@ -181,13 +181,13 @@ def _solve_at_power(n: int, minor: MinorId, element: Element, side: str, m: int)
     target = element * _minor_power(n, minor, m)
     x_deg = target.multidegree().minus(D.multidegree())  # (m - 1) deg D + deg e: never negative
     basis = basis_monomials(n, x_deg.rows, x_deg.cols)
-    columns = [(D * Element(n, [(b, 1)]))._t for b in basis]
+    columns = [(D * Element._make(n, {b: ONE}))._t for b in basis]
     sol = solve_linear(columns, target._t)
     if not sol.consistent:
         return None, {"power": m, "reason": "inconsistent linear system", "rank": sol.rank,
                       "unknowns": len(basis), "equations": sol.equations}
     scale, laurents = clear_denominators(sol.solution)
-    cofactor = Element(n, [(b, c) for b, c in zip(basis, laurents) if not c.is_zero()])
+    cofactor = Element._make(n, {b: c for b, c in zip(basis, laurents) if not c.is_zero()})
     return (scale, cofactor.antitranspose() if side == LEFT else cofactor), None
 
 
@@ -522,7 +522,9 @@ def _witness_for_word(n: int, minor: MinorId, word: tuple, side: str) -> OreWitn
             cofactor=Element.unit(n), derivation=_node("unit"),
         )
     if all(generator_position(minor.rows, minor.cols, *g) == "central" for g in word):
-        elem = Element(n, [(word, 1)])
+        # sorted: a commutator expansion's pair letters are never central, so
+        # this word is a suffix of an element's word or of what follows a pair
+        elem = Element._make(n, {word: ONE})
         return OreWitness(
             n=n, minor=minor, element=elem, side=side, power=1, cofactor=elem,
             derivation=_node("central-word", {"length": len(word)}),
@@ -722,8 +724,8 @@ def witness_from_json(data: dict) -> OreWitness | ChainWitness:
         w = ChainWitness(n=n, minors=[MinorId(tuple(m["rows"]), tuple(m["cols"])) for m in data["minors"]],
                          element=element, side=data["side"], links=links)
         steps = zip(_clearing_order(w.side, w.minors), [element] + [link.cofactor for link in links[:-1]])
-        if [(link.n, link.side, link.target_power, link.minor, link.element) for link in links] != [
-                (n, w.side, 1, minor, cleared) for minor, cleared in steps]:
+        stated_links = [(link.n, link.side, link.target_power, link.minor, link.element) for link in links]
+        if len(links) != len(w.minors) or stated_links != [(n, w.side, 1, minor, cleared) for minor, cleared in steps]:
             raise ValueError("malformed chain: each link must clear the cofactor before it against the next minor")
     stated = w.to_json()
     missing = stated.keys() - data.keys()

@@ -30,6 +30,13 @@ def rand_word(rng, n, max_len):
     return tuple((rng.randint(1, n), rng.randint(1, n)) for _ in range(rng.randint(0, max_len)))
 
 
+def mapped_word(n, name, w):
+    """The word of the images of ``w``'s letters under ``Element.<name>``, unsorted."""
+    if name == "transpose":
+        return tuple((j, i) for i, j in w)
+    return tuple((n + 1 - j, n + 1 - i) for i, j in reversed(w))
+
+
 def rand_element(rng, n, max_len=3, n_terms=3):
     terms = []
     for _ in range(n_terms):
@@ -211,15 +218,30 @@ class TestTranspose:
             y = rand_element(rng, 3)
             assert (x * y).antitranspose() == y.antitranspose() * x.antitranspose()
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_antitranspose_maps_each_sorted_word_to_one_sorted_word(self, n):
-        """The lemma behind the solver's one form: the image of a PBW word is
-        the sorted image of its letters, with coefficient 1."""
+    @pytest.mark.parametrize("n, name", [pytest.param(n, "antitranspose", id=str(n)) for n in (1, 2, 3, 4)]
+                             + [pytest.param(n, "transpose", id=f"transpose-{n}") for n in (1, 2, 3, 4)])
+    def test_antitranspose_maps_each_sorted_word_to_one_sorted_word(self, n, name):
+        """The lemma behind the solver's one form, and its transpose analogue:
+        the reference reducer sends the image of a PBW word to the sorted
+        image of its letters, with coefficient 1, and so does the map."""
         letters = sorted((i, j) for i in range(1, n + 1) for j in range(1, n + 1))
         for length in range(5):
             for w in combinations_with_replacement(letters, length):
-                image = sorted((n + 1 - j, n + 1 - i) for i, j in w)
-                assert Element(n, [(w, 1)]).antitranspose().terms() == [(tuple(image), ONE)]
+                image = mapped_word(n, name, w)
+                expected = [(tuple(sorted(image)), ONE)]
+                assert normal_form(n, [(1, image)]).terms() == expected
+                assert getattr(Element(n, [(w, 1)]), name)().terms() == expected
+
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("name", ["antitranspose", "transpose"])
+    def test_maps_equal_the_normal_form_of_the_mapped_words(self, n, name):
+        rng = random.Random(59 + n)
+        for _ in range(30):
+            # every word repeats a letter
+            gs = [(rng.randint(1, n), rng.randint(1, n)) for _ in range(4)]
+            words = [(g,) + rand_word(rng, n, 3) + (g,) for g in gs]
+            x = normal_form(n, [(LaurentQ({rng.randint(-2, 2): rng.randint(1, 3)}), w) for w in words])
+            assert getattr(x, name)() == normal_form(n, [(c, mapped_word(n, name, w)) for w, c in x.terms()])
 
     def test_involutions(self):
         rng = random.Random(47)

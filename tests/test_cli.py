@@ -370,6 +370,7 @@ class TestOreVerb:
         (lambda d: d["minors"].reverse(), EXIT_PRECONDITION),
         (lambda d: d.update(links=[]), EXIT_PRECONDITION),
         (lambda d: d["links"][0]["infeasible_powers"][0].update(rank=0), EXIT_PRECONDITION),
+        (lambda d: d["minors"].insert(0, {"rows": [1], "cols": [1]}), EXIT_PRECONDITION),
     ], ids=["wrong-power", "partial-infeasible", "unknown-side", "negative-power", "zero-powers",
             "zero-target-power", "zero-scale", "zero-element", "missing-key", "huge-power", "zero-n", "huge-n",
             "unparsable-cofactor",
@@ -378,7 +379,8 @@ class TestOreVerb:
             "float-power", "bool-target-power", "float-n", "zero-denominator-scale", "deep-nesting",
             "bool-label", "word-scale", "dense-degree-399-scale", "huge-exponent-cofactor",
             "chain-powers-changed", "chain-links-reversed",
-            "chain-minors-reversed", "chain-no-links", "chain-link-infeasible-misstated"])
+            "chain-minors-reversed", "chain-no-links", "chain-link-infeasible-misstated",
+            "chain-extra-minor"])
     def test_tampered_witness_exit(self, capsys, tmp_path, changes, expected):
         # a dict replaces keys of a single witness file; a function tampers a solver chain file
         path = tmp_path / "w.json"

@@ -15,7 +15,6 @@ from qmb.identities import (
     check_E0_membership,
     check_gap_one,
     check_gap_r,
-    check_muir,
     check_muir_pair,
     check_qcommutation,
     commutator_terms,
@@ -74,26 +73,26 @@ class TestQCommutation:
 
 class TestMuir:
     def test_single_interchange(self):
-        res = check_muir(3, (1, 2), (1, 3), (2, 3))
+        res = check_muir_pair(3, (1, 2), (1, 3), (2, 3))[0]
         assert res.status == VERIFIED
         assert res.convention["exponent"] in (1, -1)
 
     def test_identical_sets_commute(self):
-        res = check_muir(3, (1, 2), (1, 3), (1, 3))
+        res = check_muir_pair(3, (1, 2), (1, 3), (1, 3))[0]
         assert res.status == VERIFIED
         assert res.convention["exponent"] == 0
 
     def test_larger_instance(self):
-        res = check_muir(4, (1, 2), (1, 4), (3, 4))
+        res = check_muir_pair(4, (1, 2), (1, 4), (3, 4))[0]
         assert res.status == VERIFIED
         assert res.convention["exponent"] in (1, -1)
 
     def test_two_label_difference_not_applicable(self):
-        assert check_muir(4, (1, 2), (1, 2), (3, 4)).status == NOT_APPLICABLE
+        assert check_muir_pair(4, (1, 2), (1, 2), (3, 4))[0].status == NOT_APPLICABLE
 
     def test_sign_depends_only_on_label_order(self):
-        res1 = check_muir(3, (1, 2), (1, 3), (2, 3))   # removed 1 < added 2
-        res2 = check_muir(4, (1, 3), (2, 4), (1, 4))   # removed 2 > added 1
+        res1 = check_muir_pair(3, (1, 2), (1, 3), (2, 3))[0]   # removed 1 < added 2
+        res2 = check_muir_pair(4, (1, 3), (2, 4), (1, 4))[0]   # removed 2 > added 1
         assert res1.convention["exponent"] == 1
         assert res2.convention["exponent"] == -1
 
@@ -113,8 +112,9 @@ class TestMuirPair:
         assert {c[0] for c in configs} == {2, 3, 4}
         for n, K, L, Lp in configs:
             first, second = check_muir_pair(n, K, L, Lp)
-            assert first.to_json() == check_muir(n, K, L, Lp).to_json()
-            assert second.to_json() == check_muir(n, K, Lp, L).to_json()
+            mirrored = check_muir_pair(n, K, Lp, L)
+            assert first.to_json() == mirrored[1].to_json()
+            assert second.to_json() == mirrored[0].to_json()
             # the exponents are those of the stand-alone probe, in each order
             DL, DLp = quantum_minor(n, K, L), quantum_minor(n, K, Lp)
             assert first.convention["exponent"] == qcommutation_probe(DL, DLp)
@@ -122,7 +122,7 @@ class TestMuirPair:
 
     def test_identical_and_not_applicable_pairs(self):
         same = check_muir_pair(3, (1, 2), (1, 3), (1, 3))
-        assert [r.to_json() for r in same] == [check_muir(3, (1, 2), (1, 3), (1, 3)).to_json()] * 2
+        assert same[0].to_json() == same[1].to_json()
         first, second = check_muir_pair(4, (1, 2), (1, 2), (3, 4))
         assert (first.status, second.status) == (NOT_APPLICABLE, NOT_APPLICABLE)
         assert (first.config["L"], second.config["L"]) == ([1, 2], [3, 4])

@@ -474,6 +474,28 @@ class TestTransposeDuality:
         assert (lhs.scale(w.scale) - rhs).is_zero()
 
 
+class TestReducedInput:
+    def test_witnesses_need_no_reducer_once_the_minors_are_expanded(self, monkeypatch):
+        """Products and the antitranspose keep words sorted, so after the
+        minors' expansions no unreduced word is left to rewrite."""
+        n = 3
+        gap, outside = MinorId((1, 3), (1, 3)), MinorId((1, 2), (1, 2))
+        clear_caches()
+        for minor in (gap, outside):
+            minor_element(n, minor)
+            minor_element(n, minor.antitranspose(n))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("reduce_terms called after the minors were expanded")
+
+        monkeypatch.setattr(algebra, "reduce_terms", refuse)
+        left = solve_witness(n, gap, gen(n, 2, 2), LEFT)  # t[2,2] sits in a gap of both sets
+        right = witness_generator_constructive(n, outside, 3, 3, RIGHT)  # t[3,3] is outside both sets
+        for w, minor, side in ((left, gap, LEFT), (right, outside, RIGHT)):
+            assert w.certified and (w.minor, w.side) == (minor, side)
+            assert w.residual().is_zero()
+
+
 class TestChains:
     def test_single_minor_chain_reduces(self):
         ch = multi_minor_witness(2, [M22], gen(2, 1, 1), LEFT)
