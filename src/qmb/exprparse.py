@@ -14,6 +14,8 @@ Grammar (whitespace insensitive):
                                                    on any other base at most
                                                    the degree cap, and so is
                                                    the q-span of the power
+    INT     := [0-9]+                              ASCII digits only, at most
+                                                   Python's integer-digit limit
 
 The canonical element text ``(coeff) * t[i,j] t[k,l] ...`` produced by
 ``Element.render`` parses back bit-exactly, and so does the canonical
@@ -38,8 +40,17 @@ class ExprSyntaxError(ValueError):
 
 
 _TOKEN = re.compile(
-    r"\s*(?:(?P<int>\d+)|(?P<name>[tDq])|(?P<punct>[\[\]{}(),^*/+-])|(?P<bad>\S))"
+    r"\s*(?:(?P<int>[0-9]+)|(?P<name>[tDq])|(?P<punct>[\[\]{}(),^*/+-])|(?P<bad>\S))"
 )
+
+
+def _integer(digits: str) -> int:
+    """An INT token's value; one longer than Python's integer-digit limit is
+    refused (``DegreeCapError``) before it is converted."""
+    limit = sys.get_int_max_str_digits()
+    if limit and len(digits) > limit:
+        raise DegreeCapError(f"an integer of {len(digits)} digits exceeds the integer limit of {limit} digits")
+    return int(digits)
 
 
 def _tokenize(text: str):
@@ -159,13 +170,13 @@ class _Parser:
             kind, val, pos = self.next()
         if kind != "int":
             raise ExprSyntaxError(f"expected an integer exponent, found {val!r}", pos)
-        return -int(val) if neg else int(val)
+        return -_integer(val) if neg else _integer(val)
 
     def _int(self) -> int:
         kind, val, pos = self.next()
         if kind != "int":
             raise ExprSyntaxError(f"expected an integer, found {val or 'end of input'!r}", pos)
-        return int(val)
+        return _integer(val)
 
     def _index_list(self) -> tuple[int, ...]:
         self.expect("{")
@@ -179,7 +190,7 @@ class _Parser:
     def atom(self) -> tuple[Element, bool]:
         kind, val, pos = self.next()
         if kind == "int":
-            return Element.scalar(self.n, int(val)), False
+            return Element.scalar(self.n, _integer(val)), False
         if val == "q":
             return Element.scalar(self.n, LaurentQ.q_power(1)), True
         if val == "t":

@@ -9,6 +9,11 @@ canonical rational functions.  Columns are visited left to right, so the
 pivot columns are the leftmost independent ones and free columns are set to
 zero; since every value is canonical, the solution does not depend on which
 row supplies a pivot, nor on how the rows are numbered.
+
+The elimination itself assumes nothing about the system.  The witness
+systems of :mod:`qmb.ore` are unit-triangular on their leading rows (README
+lemma 2), so they have full column rank and a feasible one has a Laurent
+solution: every entry has denominator 1.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Hashable, Mapping, Optional, Sequence
 
-from .scalars import LaurentQ, QRational, ONE
+from .scalars import QRational
 
 _QZERO = QRational(0)
 
@@ -86,18 +91,3 @@ def solve_linear(columns: Sequence[Mapping], target: Mapping) -> LinearSolution:
         x[c] = R[p].get(cols, _QZERO)
     return LinearSolution(x, rank, True, len(R))
 
-
-def clear_denominators(values: list[QRational]) -> tuple[LaurentQ, list[LaurentQ]]:
-    """A common multiple of the denominators and the scaled Laurent values.
-
-    Returns ``(scale, scaled)`` with ``scaled[i] = scale * values[i]`` exact.
-    """
-    scale = ONE
-    for v in values:
-        den = v.den
-        g = LaurentQ.gcd(scale, den)
-        scale = scale * den.divexact(g)
-    scaled = []
-    for v in values:
-        scaled.append(v.num * scale.divexact(v.den))
-    return scale, scaled

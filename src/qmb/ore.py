@@ -10,8 +10,10 @@ The right form is the left form in the opposite algebra (every product
 read in reverse order), so one body of code serves both forms; the
 solver asks right-form questions only (see :func:`_solve_at_power`).
 
-``scale`` is a central Laurent scalar (the product of cleared denominators;
-``1`` in every constructive witness), and ``target_power`` is 1 except for
+``scale`` is a central Laurent scalar: zero or a monomial ``c*q^k`` in a
+witness file, and ``1`` in every witness either route produces, because
+every solver system is unit-triangular on its leading rows and so has a
+unique, Laurent solution (README lemma 2).  ``target_power`` is 1 except for
 intermediate witnesses produced by :func:`extend_to_power`.  Every public
 function replays the equation of the witness it returns exactly once, by an
 independent normal-form computation, so no uncertified witness ever escapes.
@@ -45,7 +47,7 @@ from typing import Optional, Sequence
 from .algebra import Element, _check_cap, basis_monomials, commutator
 from .exprparse import ExprSyntaxError, parse_element, parse_laurent
 from .identities import commutator_terms, gap_correction_terms, generator_position
-from .linalg import clear_denominators, solve_linear
+from .linalg import solve_linear
 from .minors import MinorId, check_matrix_size, minor_element, qcommutation_probe
 from .scalars import ONE, QINV, LaurentQ
 
@@ -124,7 +126,7 @@ class OreWitness:
 
     @property
     def denominator_zeros(self) -> list[LaurentQ]:
-        """The irreducible factors of ``scale``: the values of q this witness excludes."""
+        """The values of q this witness excludes: none (see :func:`_factor_scale`)."""
         return _factor_scale(self.scale)
 
     def residual(self) -> Element:
@@ -172,9 +174,9 @@ def _node(rule: str, detail: Optional[dict] = None, children: Optional[list[dict
 
 
 def _solve_at_power(n: int, minor: MinorId, element: Element, side: str, m: int):
-    """Try to solve for a cofactor at a fixed power; None when infeasible.
-    Right-form systems ``scale * e * D^m == D * x`` only: a left question is
-    asked for the antitransposed minor and element, whose cofactor maps back."""
+    """The cofactor at a fixed power, or None and the record when infeasible.
+    Right-form systems ``e * D^m == D * x`` only: a left question is asked for
+    the antitransposed minor and element, whose cofactor maps back."""
     if side == LEFT:
         minor, element = minor.antitranspose(n), element.antitranspose()
     D = minor_element(n, minor)
@@ -186,33 +188,20 @@ def _solve_at_power(n: int, minor: MinorId, element: Element, side: str, m: int)
     if not sol.consistent:
         return None, {"power": m, "reason": "inconsistent linear system", "rank": sol.rank,
                       "unknowns": len(basis), "equations": sol.equations}
-    scale, laurents = clear_denominators(sol.solution)
-    cofactor = Element._make(n, {b: c for b, c in zip(basis, laurents) if not c.is_zero()})
-    return (scale, cofactor.antitranspose() if side == LEFT else cofactor), None
+    # the solution is Laurent (README lemma 2), so each numerator is the
+    # entry itself; the replay at return checks the equation all the same
+    cofactor = Element._make(n, {b: c.num for b, c in zip(basis, sol.solution) if not c.is_zero()})
+    return cofactor.antitranspose() if side == LEFT else cofactor, None
 
 
 def _factor_scale(scale: LaurentQ) -> list[LaurentQ]:
-    """Irreducible factors of the cleared-denominator scale (via sympy)."""
-    if scale.is_one() or scale.is_zero():
+    """The values of q a witness of this scale excludes: none.  A scale must be
+    zero or a monomial ``c*q^k`` (README lemma 2 gives every question a
+    scale-1 witness), and a monomial vanishes at no admissible q; any other
+    scale raises ``ValueError``."""
+    if scale.is_zero() or scale.is_monomial():
         return []
-    # a file may state any scale, and factoring time grows steeply with its span
-    _check_cap(scale.max_exp() - scale.min_exp(), "q-span of the scale")
-    import sympy
-    from fractions import Fraction
-
-    q = sympy.Symbol("q")
-    shifted = scale.shift(-scale.min_exp())
-    expr = sum(sympy.Rational(c.numerator, c.denominator) * q**e for e, c in shifted.terms)
-    factors = []
-    for base, _mult in sympy.factor_list(sympy.Poly(expr, q))[1]:
-        coeffs = sympy.Poly(base, q).all_coeffs()[::-1]
-        fac = LaurentQ(
-            {i: Fraction(int(sympy.numer(v)), int(sympy.denom(v))) for i, v in enumerate(coeffs)}
-        )
-        if fac.is_monomial():
-            continue  # a constant or a bare power of q never vanishes at admissible q
-        factors.append(fac)
-    return factors
+    raise ValueError(f"a witness scale must be zero or a monomial c*q^k, not a sum of {len(scale.terms)} terms")
 
 
 def solve_witness(
@@ -244,11 +233,10 @@ def solve_witness(
 def _solve_homogeneous(n: int, minor: MinorId, element: Element, side: str, m_max: Optional[int]) -> OreWitness:
     infeasible: list[dict] = []
     for m in count(1) if m_max is None else range(1, m_max + 1):
-        solved, record = _solve_at_power(n, minor, element, side, m)
-        if solved is None:
+        cofactor, record = _solve_at_power(n, minor, element, side, m)
+        if cofactor is None:
             infeasible.append(record)
             continue
-        scale, cofactor = solved
         return OreWitness(
             n=n,
             minor=minor,
@@ -256,7 +244,6 @@ def _solve_homogeneous(n: int, minor: MinorId, element: Element, side: str, m_ma
             side=side,
             power=m,
             cofactor=cofactor,
-            scale=scale,
             derivation=_node("solver", {"power": m, "infeasible_below": len(infeasible)}),
             infeasible=infeasible,
         )
@@ -761,7 +748,8 @@ def verify_witness_file(path: str) -> OreWitness | ChainWitness:
     links), and ``infeasible_powers`` (empty, or the solver's record for every
     power below ``power``) by solving at each of those powers.  A chain's
     links are each checked and replayed so, then the chain's own equation.  A
-    malformed, vacuous or misstated file raises ValueError."""
+    malformed, vacuous or misstated file raises ValueError, and so does a
+    scale that is neither zero nor a monomial ``c*q^k``."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 
@@ -366,6 +366,40 @@ class TestNoZeroDivisors:
             if db is None:
                 b = list(b.homogeneous_components().values())[0]
             assert not (a * b).is_zero()
+
+
+def weight(word):
+    """README lemma 2's weight: t[i,j] weighs i*j."""
+    return sum(i * j for i, j in word)
+
+
+class TestLeadingWords:
+    """README lemma 2: a product of sorted words leads with their union."""
+
+    def test_product_of_sorted_words(self):
+        rng = random.Random(67)
+        for _ in range(500):
+            n = rng.randint(1, 5)
+            u, v = (tuple(sorted(rand_word(rng, n, 4))) for _ in range(2))
+            # pairs that are out of order across the factors and share a row or a column
+            s = sum(1 for x in u for y in v if x > y and (x[0] == y[0] or x[1] == y[1]))
+            lead = tuple(sorted(u + v))
+            terms = dict(normal_form(n, [(1, u + v)]).terms())
+            assert terms.pop(lead) == LaurentQ.q_power(-s)
+            assert all(weight(w) < weight(lead) for w in terms)
+
+    def test_minor_coefficients_are_signed_powers_of_q(self):
+        """Every coefficient of every minor at n <= 5 is +-q^k, and the diagonal
+        word leads with coefficient 1."""
+        for n in range(1, 6):
+            for m in range(1, n + 1):
+                for rows in combinations(range(1, n + 1), m):
+                    for cols in combinations(range(1, n + 1), m):
+                        terms = dict(quantum_minor(n, rows, cols).terms())
+                        assert all(c.is_monomial() and abs(c.terms[0][1]) == 1 for c in terms.values())
+                        diagonal = tuple(zip(rows, cols))
+                        assert terms.pop(diagonal) == ONE
+                        assert all(weight(w) < weight(diagonal) for w in terms)
 
 
 class TestDegreeCap:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import sys
 import time
 from fractions import Fraction
 
@@ -17,10 +18,10 @@ from qmb.cli import (
     main,
 )
 from qmb import minors
-from qmb.exprparse import parse_element
+from qmb.exprparse import parse_element, parse_laurent
 from qmb.minors import MinorId, quantum_minor
 from qmb.ore import extend_to_power, solve_witness, witness_to_file
-from qmb.scalars import Q
+from qmb.scalars import Q, LaurentQ
 
 
 def run(capsys, *argv):
@@ -65,6 +66,21 @@ class TestNf:
 
     def test_deep_nesting_is_a_syntax_error(self, capsys):
         code, out, err = run(capsys, "nf", "--n", "2", "(" * 300 + "t[1,1]" + ")" * 300)
+        assert code == EXIT_USAGE
+        assert out == "" and err.startswith("qmb: syntax error") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("text", ["t[1,1]^" + "9" * 4301, "9" * 4301 + " t[1,1]",
+                                      "t[1," + "1" * 4301 + "]", "q^" + "1" * 4301],
+                             ids=["exponent", "coefficient", "label", "q-exponent"])
+    def test_integers_past_the_digit_limit_exit_on_the_cap(self, capsys, text):
+        # the same bound as an exponent of 4300 nines, read before the integer is formed
+        code, out, err = run(capsys, "nf", "--n", "2", text)
+        assert code == EXIT_DEGREE_CAP
+        assert out == "" and err.startswith("qmb: ") and err.count("\n") == 1
+        assert "4301 digits" in err and "1111" not in err and "9999" not in err
+
+    def test_only_ascii_digits_are_integers(self, capsys):
+        code, out, err = run(capsys, "nf", "--n", "2", "t[\u0661,\u0662] \u0663")  # Arabic-Indic 1, 2, 3
         assert code == EXIT_USAGE
         assert out == "" and err.startswith("qmb: syntax error") and err.count("\n") == 1
 
@@ -363,7 +379,10 @@ class TestOreVerb:
         ({"cofactor": "(" * 300 + "t[1,1]" + ")" * 300}, EXIT_PRECONDITION),
         ({"minor": {"rows": [True], "cols": [2]}}, EXIT_PRECONDITION),
         ({"scale": "t[1,1]"}, EXIT_PRECONDITION),
-        ({"scale": " + ".join(f"{1 + k % 9}*q^{k}" for k in range(400))}, EXIT_DEGREE_CAP),
+        ({"scale": " + ".join(f"{1 + k % 9}*q^{k}" for k in range(400))}, EXIT_PRECONDITION),
+        # a true equation, with the zeros its scale once reported, but a scale that is not a monomial
+        ({"scale": "1 + q", "cofactor": "(1 + q) * ((1) * t[1,1] t[2,2] + (q^-3 - q) * t[1,2] t[2,1])",
+          "denominator_zeros": ["1 + q"]}, EXIT_PRECONDITION),
         ({"cofactor": "(1+q)^8000 * t[1,1]"}, EXIT_DEGREE_CAP),
         (lambda d: d.update(powers=[3, 2]), EXIT_PRECONDITION),
         (lambda d: d["links"].reverse(), EXIT_PRECONDITION),
@@ -377,7 +396,7 @@ class TestOreVerb:
             "bad-infeasible-non-list", "bad-infeasible-at-power", "bad-infeasible-repeated",
             "bad-infeasible-non-integer", "infeasible-inhomogeneous", "wrong-denominator-zeros",
             "float-power", "bool-target-power", "float-n", "zero-denominator-scale", "deep-nesting",
-            "bool-label", "word-scale", "dense-degree-399-scale", "huge-exponent-cofactor",
+            "bool-label", "word-scale", "dense-degree-399-scale", "non-monomial-scale", "huge-exponent-cofactor",
             "chain-powers-changed", "chain-links-reversed",
             "chain-minors-reversed", "chain-no-links", "chain-link-infeasible-misstated",
             "chain-extra-minor"])
@@ -400,6 +419,19 @@ class TestOreVerb:
         code, out, err = run(capsys, "verify-witness", str(path))
         assert code == expected
         assert out == "" and err.startswith("qmb: ") and err.count("\n") == 1
+
+    def test_runs_without_sympy(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setitem(sys.modules, "sympy", None)  # any import of it fails
+        path = tmp_path / "w.json"
+        argv = ["ore", "--n", "3", "--minor-rows", "1,3", "--minor-cols", "1,3",
+                "--elem", "t[1,1] t[2,2] + 2*q*t[1,2] t[2,1]", "--strategy", "solver", "--out", str(path)]
+        assert run(capsys, *argv)[0] == EXIT_OK
+        assert run(capsys, "verify-witness", str(path))[0] == EXIT_OK
+        data = json.loads(path.read_text())
+        data.update(scale="2*q", cofactor=f"2*q * ({data['cofactor']})")
+        path.write_text(json.dumps(data))
+        code, out, _ = run(capsys, "verify-witness", str(path))
+        assert code == EXIT_OK and json.loads(out)["certified"] is True
 
     def test_feasible_power_listed_as_infeasible(self, capsys, tmp_path):
         # a power-6 witness whose file claims powers 1 and 2 infeasible;
@@ -502,6 +534,9 @@ class TestParserDetails:
     def test_powers(self):
         assert parse_element("t[1,1]^2", 2) == parse_element("t[1,1]*t[1,1]", 2)
         assert parse_element("q^-2 * 1", 2) == parse_element("q^-1 * q^-1", 2)
+
+    def test_q_exponent_at_the_digit_limit_reads(self):
+        assert parse_laurent("q^" + "9" * 4300) == LaurentQ.q_power(10**4300 - 1)
 
     def test_negative_exponent_only_on_q(self):
         with pytest.raises(Exception):

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 from qmb.algebra import Element
-from qmb.linalg import clear_denominators, solve_linear
+from qmb.linalg import solve_linear
 from qmb.scalars import ONE, LaurentQ, QRational
 
 
@@ -206,17 +206,3 @@ class TestSolveLinear:
                                 {numbered[w]: v for w, v in target._t.items()})
         assert by_index == sol
 
-
-class TestClearDenominators:
-    def test_scale_makes_everything_laurent(self):
-        q = LaurentQ.q_power(1)
-        vals = [QRational(ONE, q + ONE), QRational(q, (q + ONE) * (q - ONE))]
-        scale, scaled = clear_denominators(vals)
-        for v, s in zip(vals, scaled):
-            assert QRational(s) == QRational(scale) * v
-
-    def test_identity_on_laurents(self):
-        vals = [QRational(LaurentQ({1: 2})), QRational(ONE)]
-        scale, scaled = clear_denominators(vals)
-        assert scale == ONE
-        assert scaled[0] == LaurentQ({1: 2})

@@ -222,6 +222,43 @@ def test_n5_infeasible_power_records_are_pinned(m, record):
     assert found == {"power": m, "reason": "inconsistent linear system", **record}
 
 
+PROPER_N3 = [MinorId(K, L) for m in (1, 2) for K in combinations((1, 2, 3), m) for L in combinations((1, 2, 3), m)]
+
+
+def test_solver_systems_have_full_column_rank_and_laurent_solutions(monkeypatch):
+    """README lemma 2: every system is unit-triangular on its leading rows, so
+    its rank is its column count, feasible or not, its solution is Laurent and
+    every solver witness has scale 1.  Every n = 3 generator question, both
+    forms, and a seeded sample of two-term elements with rational and Laurent
+    coefficients."""
+    systems = []
+    real = ore.solve_linear
+
+    def recording(columns, target):
+        sol = real(columns, target)
+        systems.append((len(columns), sol))
+        return sol
+
+    monkeypatch.setattr(ore, "solve_linear", recording)
+    n, rng = 3, random.Random(83)
+    elements = [gen(n, k, l) for k in (1, 2, 3) for l in (1, 2, 3)]
+    while len(elements) < 9 + 24:
+        d = MultiDegree.of_word(n, [(rng.randint(1, n), rng.randint(1, n)) for _ in range(rng.randint(2, 3))])
+        words = basis_monomials(n, d.rows, d.cols)
+        if len(words) > 1:
+            coeffs = (LaurentQ({rng.randint(-2, 2): Fraction(rng.randint(1, 5), rng.randint(1, 4))}),
+                      LaurentQ({rng.randint(-2, 0): rng.randint(-3, -1), rng.randint(1, 2): rng.randint(1, 3)}))
+            elements.append(Element(n, list(zip(rng.sample(words, 2), coeffs))))
+    for side in SIDES:
+        for minor in PROPER_N3:
+            for e in elements:
+                assert solve_witness(n, minor, e, side).scale == ONE
+    assert len(systems) > 1000 and any(not sol.consistent for _, sol in systems)
+    for cols, sol in systems:
+        assert sol.rank == cols
+        assert sol.solution is None or all(x.den == ONE for x in sol.solution)
+
+
 class TestCompositions:
     def test_product_of_central_witnesses(self):
         w1 = witness_generator_constructive(2, MFULL2, 1, 1, LEFT)
@@ -557,6 +594,38 @@ class TestChains:
         assert multi_minor_witness(3, chain, t22, LEFT, "constructive", m_max=5).powers == [5, 1]
 
 
+class TestChainSweep:
+    """The paper's claim for sets of several minors, on a seeded sample of the
+    5,832 n = 3 chains: every ordered pair of proper minors, every generator,
+    both forms."""
+
+    CASES = [(pair, (k, l), side) for pair in [(a, b) for a in PROPER_N3 for b in PROPER_N3]
+             for k in (1, 2, 3) for l in (1, 2, 3) for side in SIDES]
+
+    def test_sample_certifies_on_both_routes(self, tmp_path):
+        assert len(self.CASES) == 5832
+        path = tmp_path / "chain.json"
+        for minors, (k, l), side in random.Random(89).sample(self.CASES, 150):
+            t = gen(3, k, l)
+            solved = multi_minor_witness(3, minors, t, side, "solver")
+            assert solved.certified and all(w.scale == ONE for w in solved.links)
+            witness_to_file(solved, str(path))
+            assert verify_witness_file(str(path)) == solved
+            try:
+                built = multi_minor_witness(3, minors, t, side, "constructive")
+            except algebra.DegreeCapError:
+                continue
+            assert built.certified and built.links[0].power >= solved.links[0].power
+
+    def test_roadmap_example(self):
+        """The constructive first link has power 5 and a cofactor of degree 9;
+        clearing it against D[{1,2},{1,2}] needs degree 17, over the cap."""
+        minors, t22 = [MinorId((1, 2), (1, 2)), MinorId((1, 3), (1, 3))], gen(3, 2, 2)
+        assert multi_minor_witness(3, minors, t22, LEFT, "solver").powers == [3, 3]
+        with pytest.raises(algebra.DegreeCapError, match="normal-form degree 17 "):
+            multi_minor_witness(3, minors, t22, LEFT, "constructive")
+
+
 class TestWitnessFiles:
     def test_round_trip_and_verify(self, tmp_path):
         w = solve_witness(2, M22, gen(2, 1, 1), LEFT)
@@ -601,35 +670,31 @@ class TestWitnessFiles:
 
 
 class TestDenominatorReporting:
-    def test_scale_factors_are_irreducible(self):
+    def test_a_scale_is_zero_or_a_monomial(self):
+        """A monomial vanishes at no admissible q, so it excludes nothing;
+        any other scale is refused."""
+        from qmb.exprparse import parse_laurent
         from qmb.ore import _factor_scale
 
-        scale = (Q - ONE) * (Q + ONE) * LaurentQ({0: 2})
-        factors = _factor_scale(scale)
-        rendered = sorted(f.render() for f in factors)
-        assert rendered == ["-1 + q", "1 + q"]
+        for text in ("0", "1", "2*q^3", "-1/2*q^-1"):
+            assert _factor_scale(parse_laurent(text)) == []
+        with pytest.raises(ValueError, match="monomial"):
+            _factor_scale((Q - ONE) * (Q + ONE))
 
     def test_trivial_scale_reports_nothing(self):
         from qmb.ore import _factor_scale
 
         assert _factor_scale(ONE) == []
 
-    def test_excluded_points_evaluate_to_zero(self):
-        from qmb.ore import _factor_scale
-        from fractions import Fraction
-
-        scale = LaurentQ({2: 1, 0: -1})  # q^2 - 1
-        factors = _factor_scale(scale)
-        roots = {Fraction(1), Fraction(-1)}
-        for f in factors:
-            assert any(f.specialize(r) == 0 for r in roots)
-
     def test_composed_witness_lists_each_factor_once(self, tmp_path):
         w = solve_witness(2, M22, gen(2, 1, 1), LEFT)
-        scaled = dataclasses.replace(w, scale=Q + ONE, cofactor=w.cofactor.scale(Q + ONE))
+        two_q = LaurentQ({1: 2})
+        scaled = dataclasses.replace(w, scale=two_q, cofactor=w.cofactor.scale(two_q))
         product = compose_product(scaled, scaled)
-        assert product.scale == (Q + ONE) * (Q + ONE)
-        assert product.to_json()["denominator_zeros"] == ["1 + q"]
+        assert product.scale == LaurentQ({2: 4})
+        assert product.to_json()["denominator_zeros"] == []
         path = tmp_path / "w.json"
         witness_to_file(product, str(path))
-        assert verify_witness_file(str(path)).denominator_zeros == [Q + ONE]
+        assert verify_witness_file(str(path)).denominator_zeros == []
+        with pytest.raises(ValueError, match="monomial"):
+            dataclasses.replace(w, scale=Q + ONE, cofactor=w.cofactor.scale(Q + ONE)).to_json()
