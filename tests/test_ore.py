@@ -670,16 +670,29 @@ class TestWitnessFiles:
 
 
 class TestDenominatorReporting:
-    def test_a_scale_is_zero_or_a_monomial(self):
-        """A monomial vanishes at no admissible q, so it excludes nothing;
-        any other scale is refused."""
+    def test_scale_factors_are_irreducible(self):
+        """A scale is zero or a monomial c*q^k, a unit with no irreducible
+        factor to report; a scale with a non-unit factor is refused."""
         from qmb.exprparse import parse_laurent
         from qmb.ore import _factor_scale
 
         for text in ("0", "1", "2*q^3", "-1/2*q^-1"):
             assert _factor_scale(parse_laurent(text)) == []
         with pytest.raises(ValueError, match="monomial"):
-            _factor_scale((Q - ONE) * (Q + ONE))
+            _factor_scale((Q - ONE) * (Q + ONE) * LaurentQ({0: 2}))
+
+    def test_excluded_points_evaluate_to_zero(self):
+        """A monomial scale is nonzero at every admissible q, so it excludes
+        no point; q^2 - 1, which would exclude q = 1 and q = -1, is refused."""
+        from qmb.ore import _factor_scale
+        from fractions import Fraction
+
+        for scale in (LaurentQ({0: 1}), LaurentQ({3: 2}), LaurentQ({-1: Fraction(-1, 2)})):
+            assert _factor_scale(scale) == []
+            for q0 in (Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 3)):
+                assert scale.specialize(q0) != 0
+        with pytest.raises(ValueError, match="monomial"):
+            _factor_scale(LaurentQ({2: 1, 0: -1}))
 
     def test_trivial_scale_reports_nothing(self):
         from qmb.ore import _factor_scale
