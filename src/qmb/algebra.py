@@ -25,6 +25,7 @@ times one generator) is the only rewrite cache.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -63,7 +64,13 @@ def degree_cap() -> int:
 def _check_cap(deg: int, what: str = "normal-form degree") -> None:
     cap = degree_cap()
     if deg > cap:
-        raise DegreeCapError(f"{what} {deg} exceeds cap {cap} (set {DEGREE_CAP_ENV} to raise)")
+        shown = deg
+        if deg.bit_length() > 64:  # named by its digit count, found without writing it
+            d = int(math.log10(deg))  # out: Python refuses past its integer-digit limit
+            while 10**d <= deg:
+                d += 1
+            shown = f"of {d} digits"
+        raise DegreeCapError(f"{what} {shown} exceeds cap {cap} (set {DEGREE_CAP_ENV} to raise)")
 
 
 # -- word-level rewriting ------------------------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from .algebra import DegreeCapError, Element
@@ -49,17 +50,24 @@ class UsageError(Exception):
     """A combination of options the verb cannot run with (exit 2)."""
 
 
-def _labels(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(v) for v in text.split(",") if v.strip() != "")
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a comma-separated integer list, got {text!r}")
+def _ascii_int(text: str, least: int = 0) -> int:
+    """An integer option of at least ``least``, in ASCII digits as the
+    expression grammar reads them: no sign, no other script's digits, no ``_``."""
+    m = re.fullmatch(r"\s*([0-9]+)\s*", text)
+    if m is None or int(m[1]) < least:
+        raise argparse.ArgumentTypeError(f"expected {'a positive' if least else 'an'} integer, got {text!r}")
+    return int(m[1])
 
 
 def _positive_int(text: str) -> int:
-    if not text.strip().isdigit() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return int(text)
+    return _ascii_int(text, 1)
+
+
+def _labels(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(_ascii_int(v) for v in text.split(",") if v.strip() != "")
+    except argparse.ArgumentTypeError:
+        raise argparse.ArgumentTypeError(f"expected a comma-separated integer list, got {text!r}")
 
 
 def _emit(data, fmt: str, out_path=None) -> None:
@@ -206,8 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rows", type=_labels, required=True)
     p.add_argument("--cols", type=_labels, required=True)
     p.add_argument("--cols2", type=_labels, default=None, help="second column set (muir)")
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--l", type=int, default=None)
+    p.add_argument("--k", type=_ascii_int, default=None)
+    p.add_argument("--l", type=_ascii_int, default=None)
     p.add_argument("--element", default=None, help="element expression (membership)")
     common(p)
     p.set_defaults(func=_cmd_identity)

@@ -25,9 +25,10 @@ equation (:func:`_residual`) and share one file reader and one checker.
 
 Two independent routes produce witnesses:
 
-* :func:`solve_witness`: exact linear algebra in the multidegree-forced
-  PBW component, scanning powers upward (the oracle, with minimality and
-  infeasibility evidence);
+* :func:`solve_witness`: forward substitution over Laurent polynomials in
+  the multidegree-forced PBW component, with the basis ordered by
+  decreasing weight, scanning powers upward (the oracle, with minimality
+  and infeasibility evidence);
 * :func:`witness_generator_constructive` / :func:`witness_for_element`:
   composition of the verified commutation identities, never solving a
   generic linear system.  It dispatches on the sweep's own statements:
@@ -182,15 +183,17 @@ def _solve_at_power(n: int, minor: MinorId, element: Element, side: str, m: int)
     D = minor_element(n, minor)
     target = element * _minor_power(n, minor, m)
     x_deg = target.multidegree().minus(D.multidegree())  # (m - 1) deg D + deg e: never negative
-    basis = basis_monomials(n, x_deg.rows, x_deg.cols)
+    # heaviest first (``t[i,j]`` weighs i*j; a stable sort) is the pivot order
+    # the solver requires: by README lemma 2(c) no later column touches the
+    # leading word of ``D * b``
+    basis = sorted(basis_monomials(n, x_deg.rows, x_deg.cols),
+                   key=lambda w: sum(i * j for i, j in w), reverse=True)
     columns = [(D * Element._make(n, {b: ONE}))._t for b in basis]
     sol = solve_linear(columns, target._t)
     if not sol.consistent:
         return None, {"power": m, "reason": "inconsistent linear system", "rank": sol.rank,
                       "unknowns": len(basis), "equations": sol.equations}
-    # the solution is Laurent (README lemma 2), so each numerator is the
-    # entry itself; the replay at return checks the equation all the same
-    cofactor = Element._make(n, {b: c.num for b, c in zip(basis, sol.solution) if not c.is_zero()})
+    cofactor = Element._make(n, {b: c for b, c in zip(basis, sol.solution) if c})
     return cofactor.antitranspose() if side == LEFT else cofactor, None
 
 

@@ -7,8 +7,8 @@ Three nested coefficient domains, all exact:
   coefficients (:class:`LaurentQ`),
 * the fraction field of rational functions in ``q`` (:class:`QRational`).
 
-``LaurentQ`` is the coefficient domain of every algebra element; the fraction
-field only appears inside the linear solver.  All values are immutable and
+``LaurentQ`` is the coefficient domain of every computation; the fraction
+field serves the public API alone.  All values are immutable and
 canonical: two values are equal iff their canonical forms are identical, so
 equality is cheap and hashing is safe.
 """

@@ -79,6 +79,15 @@ class TestNf:
         assert out == "" and err.startswith("qmb: ") and err.count("\n") == 1
         assert "4301 digits" in err and "1111" not in err and "9999" not in err
 
+    def test_exponent_over_the_cap_is_named_by_its_length(self, capsys):
+        # 4300 nines is within the digit limit, so the exponent is formed and
+        # refused on the cap, with its digit count in place of its digits
+        code, out, err = run(capsys, "nf", "--n", "2", "t[1,1]^" + "9" * 4300)
+        assert code == EXIT_DEGREE_CAP
+        assert out == "" and err.startswith("qmb: ") and err.count("\n") == 1
+        assert "exponent of 4300 digits exceeds cap 16" in err and "9999" not in err
+        assert "exponent 17 exceeds cap 16" in run(capsys, "nf", "--n", "2", "t[1,1]^17")[2]
+
     def test_only_ascii_digits_are_integers(self, capsys):
         code, out, err = run(capsys, "nf", "--n", "2", "t[\u0661,\u0662] \u0663")  # Arabic-Indic 1, 2, 3
         assert code == EXIT_USAGE
@@ -136,6 +145,18 @@ class TestMinorVerb:
 
 
 class TestUsageErrors:
+    @pytest.mark.parametrize("argv", [
+        ("nf", "--n", "\u0663", "t[3,3]"),  # Arabic-Indic 3
+        ("minor", "--n", "3", "--rows", "\u0661,\u0662", "--cols", "1,3"),
+        ("identity", "--kind", "centrality", "--n", "3", "--rows", "1", "--cols", "1", "--k", "\u0661", "--l", "1"),
+        ("minor", "--n", "3", "--rows", "1,2", "--cols", "1_0,3"),
+    ], ids=["n", "rows", "k", "underscore"])
+    def test_integer_options_take_ascii_digits_only(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == EXIT_USAGE
+        assert "expected " in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv", [
         ("ore", "--n", "2", "--minor-rows", "2", "--minor-cols", "2", "--elem", "t[1,1]", "--max-power", "0"),
         ("ore", "--n", "2", "--minor-rows", "2", "--minor-cols", "2", "--elem", "t[1,1]", "--max-power", "-3"),
@@ -419,6 +440,20 @@ class TestOreVerb:
         code, out, err = run(capsys, "verify-witness", str(path))
         assert code == expected
         assert out == "" and err.startswith("qmb: ") and err.count("\n") == 1
+
+    def test_power_past_the_digit_limit_exits_on_the_cap(self, capsys, tmp_path):
+        # the minor power's degree, 2 * (4300 nines), has more digits than
+        # Python writes out: it is refused on the cap by its digit count
+        path = tmp_path / "w.json"
+        run(capsys, "ore", "--n", "2", "--minor-rows", "1,2", "--minor-cols", "1,2",
+            "--elem", "t[1,1]", "--out", str(path))
+        data = json.loads(path.read_text())
+        data["power"] = int("9" * 4300)
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "verify-witness", str(path))
+        assert code == EXIT_DEGREE_CAP
+        assert out == "" and err.startswith("qmb: ") and err.count("\n") == 1
+        assert "of 4301 digits exceeds cap" in err and "9999" not in err
 
     def test_runs_without_sympy(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setitem(sys.modules, "sympy", None)  # any import of it fails
