@@ -21,12 +21,31 @@ downstream are confined to finite multidegree components.
 A product walks the right factor's words as a prefix trie, extending the
 whole left factor one generator at a time; the append table (a sorted word
 times one generator) is the only rewrite cache.
+
+Inside the walk and in the table a coefficient ``q^e * sum_k c_k q^k`` is
+packed into the pair ``(e, P)``, ``P = sum_k c_k B^k`` with ``B = 2^64``
+(Kronecker substitution): a product is ``(e1 + e2, P1 * P2)``, a sum one
+shift and one add, a zero test ``not P``.  The invariant (README lemma 3):
+every digit ``c_k`` is an integer in ``[-2^20, 2^20)``, there are at most 64
+of them, and ``c_0 != 0``.  Proof sketch: a digit of a product of two
+such values is a sum of at most 64 products of digits, so at most ``2^46`` in
+absolute value; a trie step adds at most ``len(state)`` products into one
+word, the final accumulation at most ``len(right)``, and both are checked
+below ``2^17``, so every digit stays below ``2^63`` and the balanced base-B
+digits of ``P`` are the true coefficients.  Every state and table entry is
+re-checked with one biased add and one mask (``_check``), which accepts
+exactly the values inside the invariant.  A rational coefficient, a digit
+outside the range, exponents 64 or more apart in one coefficient or one sum,
+or a state or entry that fails the check sends the whole product to the
+agenda reducer ``reduce_terms`` (``_fallback``), which is exact on any
+coefficients.  Elements, the API and the reducer keep ``LaurentQ``.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Union
@@ -48,14 +67,30 @@ class DegreeCapError(RuntimeError):
     """Raised when a normal-form computation would exceed the degree cap."""
 
 
+def _read_int(text: str) -> int:
+    """``text`` as an integer in ASCII digits ``[0-9]+``: no sign, no ``_``,
+    no other script's digits.  Anything else raises ``ValueError``; digits
+    past Python's integer-digit limit raise ``DegreeCapError``, which names
+    their count, before any conversion.  Every integer ``qmb`` reads from
+    text (the INT token, the CLI options, ``QMB_MAX_DEGREE``) goes through it."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError("not an integer in ASCII digits")
+    limit = sys.get_int_max_str_digits()
+    if limit and len(text) > limit:
+        raise DegreeCapError(f"an integer of {len(text)} digits exceeds the integer limit of {limit} digits")
+    return int(text)
+
+
 def degree_cap() -> int:
     raw = os.environ.get(DEGREE_CAP_ENV)
     if raw is None:
         return _DEFAULT_DEGREE_CAP
     try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{DEGREE_CAP_ENV} must be an integer, got {raw!r}") from exc
+        cap = _read_int(raw.strip())
+    except ValueError:
+        raise ValueError(f"{DEGREE_CAP_ENV} must be an integer in ASCII digits, got {raw!r}") from None
+    except DegreeCapError as exc:
+        raise ValueError(f"{DEGREE_CAP_ENV}: {exc}") from None
     if cap < 1:
         raise ValueError(f"{DEGREE_CAP_ENV} must be positive")
     return cap
@@ -75,25 +110,91 @@ def _check_cap(deg: int, what: str = "normal-form degree") -> None:
 
 # -- word-level rewriting ------------------------------------------------------
 
-_MINUS_QMQI = -Q_MINUS_QINV
+_LIM = 1 << 20  # every digit c satisfies -_LIM <= c < _LIM
+_SPAN = 64  # digits per packed value, at most
+_MAX_TERMS = 1 << 17  # contributions to one word of one sum, fewer than this
+_DIGIT = (1 << 64) - 1
+_HALF = 1 << 63
+_BIAS = sum(_LIM << (64 * k) for k in range(_SPAN))
+# (P + _BIAS) & _OUTSIDE == 0 exactly when P satisfies the invariant
+_OUTSIDE = ~sum(((2 * _LIM) - 1) << (64 * k) for k in range(_SPAN))
 
-# (sorted word, appended generator) -> tuple of (sorted word, coefficient)
-_APPEND_CACHE: dict[tuple[Word, Gen], tuple[tuple[Word, LaurentQ], ...]] = {}
+Packed = tuple[int, int]
 
 
-def _append_gen(word: Word, g: Gen) -> tuple[tuple[Word, LaurentQ], ...]:
-    """Normal form of (sorted word) * (generator), as sorted words with coefficients.
+class _Unpackable(Exception):
+    """A coefficient outside the packing invariant (README lemma 3)."""
+
+
+def _check(values: Iterable[Packed]) -> None:
+    """Raise ``_Unpackable`` unless every value satisfies the invariant; one
+    digit in range passes at once, a longer value needs one add and one mask."""
+    for _, p in values:
+        if not -_LIM <= p < _LIM and (p + _BIAS) & _OUTSIDE:
+            raise _Unpackable
+
+
+def _pack(cf: LaurentQ) -> Packed:
+    t = cf._terms
+    e0 = t[0][0]
+    if t[-1][0] - e0 >= _SPAN:
+        raise _Unpackable
+    p = 0
+    for e, c in t:
+        if type(c) is not int or not -_LIM <= c < _LIM:
+            raise _Unpackable
+        p += c << ((e - e0) << 6)
+    return (e0, p)
+
+
+# one shared object per monomial +-q^k, packed and unpacked: most coefficients
+# of the append table and of products are such monomials
+_PACKED_UNITS: dict[Packed, Packed] = {}
+_LAURENT_UNITS: dict[Packed, LaurentQ] = {}
+
+
+def _shared(v: Packed) -> Packed:
+    return _PACKED_UNITS.setdefault(v, v) if v[1] == 1 or v[1] == -1 else v
+
+
+def _unpack(v: Packed) -> LaurentQ:
+    e, p = v
+    if p == 1 or p == -1:
+        out = _LAURENT_UNITS.get(v)
+        if out is None:
+            out = _LAURENT_UNITS[v] = LaurentQ._raw(((e, p),))
+        return out
+    terms = []
+    while p:
+        c = ((p + _HALF) & _DIGIT) - _HALF
+        if c:
+            terms.append((e, c))
+        p = (p - c) >> 64
+        e += 1
+    return LaurentQ._raw(tuple(terms))
+
+
+_P_ONE: Packed = (0, 1)
+_P_MINUS_QMQI: Packed = (-1, 1 - (1 << 128))  # q^-1 - q
+
+# (sorted word, appended generator) -> tuple of (sorted word, packed coefficient)
+_APPEND_CACHE: dict[tuple[Word, Gen], tuple[tuple[Word, Packed], ...]] = {}
+
+
+def _append_gen(word: Word, g: Gen) -> tuple[tuple[Word, Packed], ...]:
+    """Normal form of (sorted word) * (generator), as sorted words with packed coefficients.
 
     Every letter of every output word is bounded by max(word letters, g), so
     appending a letter that dominates the input stays sorted; the recursion
-    below relies on this.
+    below relies on this.  An entry outside the packing invariant raises
+    ``_Unpackable`` and is not stored.
     """
     key = (word, g)
     hit = _APPEND_CACHE.get(key)
     if hit is not None:
         return hit
     if not word or word[-1] <= g:
-        out: tuple[tuple[Word, LaurentQ], ...] = ((word + (g,), ONE),)
+        out: tuple[tuple[Word, Packed], ...] = ((word + (g,), _P_ONE),)
         _APPEND_CACHE[key] = out
         return out
     x = word[-1]
@@ -101,27 +202,82 @@ def _append_gen(word: Word, g: Gen) -> tuple[tuple[Word, LaurentQ], ...]:
     a, b = x
     c, d = g
     if a == c or b == d:
-        out = tuple((w + (x,), cf * QINV) for w, cf in _append_gen(p, g))
+        out = tuple((w + (x,), _shared((e - 1, cp))) for w, (e, cp) in _append_gen(p, g))
     elif b < d:
         out = tuple((w + (x,), cf) for w, cf in _append_gen(p, g))
     else:
-        acc: dict[Word, LaurentQ] = {w + (x,): cf for w, cf in _append_gen(p, g)}
-        for w1, c1 in _append_gen(p, (c, b)):
-            _add_scaled(acc, _append_gen(w1, (a, d)), c1 * _MINUS_QMQI)
-        out = tuple(sorted(acc.items()))
+        acc: dict[Word, Packed] = {w + (x,): cf for w, cf in _append_gen(p, g)}
+        lower = _append_gen(p, (c, b))
+        if len(lower) + 1 >= _MAX_TERMS:  # the first part adds one more term per word
+            raise _Unpackable
+        me, mp = _P_MINUS_QMQI
+        for w1, (e1, p1) in lower:
+            scaled = (e1 + me, p1 * mp)
+            _check((scaled,))
+            _add_scaled(acc, _append_gen(w1, (a, d)), scaled)
+        _check(acc.values())
+        out = tuple(sorted((w, _shared(v)) for w, v in acc.items()))
     _APPEND_CACHE[key] = out
     return out
 
 
-def _add_scaled(acc: dict[Word, LaurentQ], terms: Iterable[tuple[Word, LaurentQ]], c: LaurentQ) -> None:
-    """``acc += c * terms``, dropping words whose coefficient cancels."""
-    for w, cf in terms:
+def _add_scaled(acc: dict[Word, Packed], terms: Iterable[tuple[Word, Packed]], c: Packed) -> None:
+    """``acc += c * terms`` on packed values, dropping words whose coefficient
+    cancels; a sum whose lowest digit cancels drops its zero low digits, and
+    a sum of values whose exponents lie 64 or more apart is not formed."""
+    ce, cp = c
+    for w, (e, p) in terms:
+        e += ce
+        p *= cp
         s = acc.get(w)
-        s = c * cf if s is None else s + c * cf
-        if s.is_zero():
-            acc.pop(w, None)
-        else:
-            acc[w] = s
+        if s is None:
+            acc[w] = (e, p)
+            continue
+        se, sp = s
+        gap = e - se
+        if not gap:
+            sp += p
+            if not sp:
+                del acc[w]
+                continue
+            while not sp & _DIGIT:
+                sp >>= 64
+                se += 1
+            acc[w] = (se, sp)
+        elif 0 < gap < _SPAN:
+            acc[w] = (se, sp + (p << (gap << 6)))
+        elif -_SPAN < gap < 0:
+            acc[w] = (e, p + (sp << (-gap << 6)))
+        else:  # the shifted integer would be as long as the gap
+            raise _Unpackable
+
+
+def _mul_packed(left: dict[Word, LaurentQ], right: dict[Word, LaurentQ]) -> dict[Word, LaurentQ]:
+    if len(right) >= _MAX_TERMS:
+        raise _Unpackable
+    packed_right = {v: _pack(cf) for v, cf in right.items()}
+    acc: dict[Word, Packed] = {}
+    stack: list[tuple[Word, dict[Word, Packed]]] = [((), {w: _pack(cf) for w, cf in left.items()})]
+    for v in sorted(right):
+        while stack[-1][0] != v[: len(stack[-1][0])]:
+            stack.pop()
+        prefix, state = stack[-1]
+        for g in v[len(prefix) :]:
+            if len(state) >= _MAX_TERMS:
+                raise _Unpackable
+            nxt: dict[Word, Packed] = {}
+            for w, cf in state.items():
+                _add_scaled(nxt, _APPEND_CACHE.get((w, g)) or _append_gen(w, g), cf)
+            _check(nxt.values())
+            prefix, state = prefix + (g,), nxt
+            stack.append((prefix, state))
+        _add_scaled(acc, state.items(), packed_right[v])
+    return {w: _unpack(v) for w, v in acc.items()}
+
+
+def _fallback(left: dict[Word, LaurentQ], right: dict[Word, LaurentQ]) -> dict[Word, LaurentQ]:
+    """Normal form of ``left * right`` by the agenda reducer, exact on any coefficients."""
+    return reduce_terms([(c1 * c2, u + v) for u, c1 in left.items() for v, c2 in right.items()])
 
 
 def _mul_terms(left: dict[Word, LaurentQ], right: dict[Word, LaurentQ]) -> dict[Word, LaurentQ]:
@@ -131,21 +287,13 @@ def _mul_terms(left: dict[Word, LaurentQ], right: dict[Word, LaurentQ]) -> dict[
     a prefix are adjacent.  ``stack`` holds the states ``(prefix, left *
     prefix)`` along the current word; a state is extended one generator at a
     time with ``_append_gen``, and every shared prefix is multiplied once.
+    The walk runs on packed coefficients; a product that leaves the packing
+    invariant anywhere is redone by ``_fallback``.
     """
-    acc: dict[Word, LaurentQ] = {}
-    stack: list[tuple[Word, dict[Word, LaurentQ]]] = [((), left)]
-    for v in sorted(right):
-        while stack[-1][0] != v[: len(stack[-1][0])]:
-            stack.pop()
-        prefix, state = stack[-1]
-        for g in v[len(prefix) :]:
-            nxt: dict[Word, LaurentQ] = {}
-            for w, cf in state.items():
-                _add_scaled(nxt, _append_gen(w, g), cf)
-            prefix, state = prefix + (g,), nxt
-            stack.append((prefix, state))
-        _add_scaled(acc, state.items(), right[v])
-    return acc
+    try:
+        return _mul_packed(left, right)
+    except _Unpackable:
+        return _fallback(left, right)
 
 
 # Kept, unfilled and delegating, only because the benchmark's tracer reads
@@ -156,6 +304,9 @@ _WORD_MUL_CACHE: dict[tuple[Word, Word], tuple[tuple[Word, LaurentQ], ...]] = {}
 def _word_mul(u: Word, v: Word) -> tuple[tuple[Word, LaurentQ], ...]:
     """Normal form of the concatenation of two sorted words."""
     return tuple(sorted(_mul_terms({u: ONE}, {v: ONE}).items()))
+
+
+_MINUS_QMQI = -Q_MINUS_QINV
 
 
 def rewrite_pair(x: Gen, y: Gen) -> list[tuple[LaurentQ, Word]]:

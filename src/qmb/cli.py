@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
+from typing import Optional
 
-from .algebra import DegreeCapError, Element
+from .algebra import DegreeCapError, Element, _read_int
 from .exprparse import ExprSyntaxError, parse_element
 from .identities import (
     NOT_APPLICABLE,
@@ -50,13 +50,24 @@ class UsageError(Exception):
     """A combination of options the verb cannot run with (exit 2)."""
 
 
+def _option_int(text: str) -> Optional[int]:
+    """``text`` read as the expression grammar reads its integers
+    (``algebra._read_int``), or None when it is no integer; one past the
+    digit limit is a usage error that names its digit count."""
+    try:
+        return _read_int(text.strip())
+    except DegreeCapError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    except ValueError:
+        return None
+
+
 def _ascii_int(text: str, least: int = 0) -> int:
-    """An integer option of at least ``least``, in ASCII digits as the
-    expression grammar reads them: no sign, no other script's digits, no ``_``."""
-    m = re.fullmatch(r"\s*([0-9]+)\s*", text)
-    if m is None or int(m[1]) < least:
+    """An integer option of at least ``least``."""
+    value = _option_int(text)
+    if value is None or value < least:
         raise argparse.ArgumentTypeError(f"expected {'a positive' if least else 'an'} integer, got {text!r}")
-    return int(m[1])
+    return value
 
 
 def _positive_int(text: str) -> int:
@@ -64,10 +75,10 @@ def _positive_int(text: str) -> int:
 
 
 def _labels(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(_ascii_int(v) for v in text.split(",") if v.strip() != "")
-    except argparse.ArgumentTypeError:
+    values = tuple(_option_int(v) for v in text.split(",") if v.strip() != "")
+    if None in values:
         raise argparse.ArgumentTypeError(f"expected a comma-separated integer list, got {text!r}")
+    return values
 
 
 def _emit(data, fmt: str, out_path=None) -> None:

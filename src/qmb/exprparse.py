@@ -28,7 +28,7 @@ import re
 import sys
 from typing import Optional
 
-from .algebra import DegreeCapError, Element, _check_cap
+from .algebra import DegreeCapError, Element, _check_cap, _read_int
 from .minors import quantum_minor
 from .scalars import LaurentQ
 
@@ -42,15 +42,6 @@ class ExprSyntaxError(ValueError):
 _TOKEN = re.compile(
     r"\s*(?:(?P<int>[0-9]+)|(?P<name>[tDq])|(?P<punct>[\[\]{}(),^*/+-])|(?P<bad>\S))"
 )
-
-
-def _integer(digits: str) -> int:
-    """An INT token's value; one longer than Python's integer-digit limit is
-    refused (``DegreeCapError``) before it is converted."""
-    limit = sys.get_int_max_str_digits()
-    if limit and len(digits) > limit:
-        raise DegreeCapError(f"an integer of {len(digits)} digits exceeds the integer limit of {limit} digits")
-    return int(digits)
 
 
 def _tokenize(text: str):
@@ -170,13 +161,13 @@ class _Parser:
             kind, val, pos = self.next()
         if kind != "int":
             raise ExprSyntaxError(f"expected an integer exponent, found {val!r}", pos)
-        return -_integer(val) if neg else _integer(val)
+        return -_read_int(val) if neg else _read_int(val)
 
     def _int(self) -> int:
         kind, val, pos = self.next()
         if kind != "int":
             raise ExprSyntaxError(f"expected an integer, found {val or 'end of input'!r}", pos)
-        return _integer(val)
+        return _read_int(val)
 
     def _index_list(self) -> tuple[int, ...]:
         self.expect("{")
@@ -190,7 +181,7 @@ class _Parser:
     def atom(self) -> tuple[Element, bool]:
         kind, val, pos = self.next()
         if kind == "int":
-            return Element.scalar(self.n, _integer(val)), False
+            return Element.scalar(self.n, _read_int(val)), False
         if val == "q":
             return Element.scalar(self.n, LaurentQ.q_power(1)), True
         if val == "t":

@@ -7,10 +7,13 @@ Three nested coefficient domains, all exact:
   coefficients (:class:`LaurentQ`),
 * the fraction field of rational functions in ``q`` (:class:`QRational`).
 
-``LaurentQ`` is the coefficient domain of every computation; the fraction
-field serves the public API alone.  All values are immutable and
-canonical: two values are equal iff their canonical forms are identical, so
-equality is cheap and hashing is safe.
+``LaurentQ`` is the coefficient type of the API, of elements and of the
+linear solver.  The product kernel (``algebra._mul_terms``) packs it into
+one integer per coefficient for the length of a product and converts back
+(README lemma 3).  The fraction field serves the public API alone, and no
+computation uses it.  All values are immutable and canonical: two values
+are equal iff their canonical forms are identical, so equality is cheap and
+hashing is safe.
 """
 
 from __future__ import annotations

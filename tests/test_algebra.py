@@ -1,11 +1,13 @@
 """Normal form, grading, and structural maps of the algebra."""
 
 import random
+import time
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 
+from qmb import algebra, identities
 from qmb.algebra import (
     ContextMismatchError,
     DegreeCapError,
@@ -35,6 +37,11 @@ def mapped_word(n, name, w):
     if name == "transpose":
         return tuple((j, i) for i, j in w)
     return tuple((n + 1 - j, n + 1 - i) for i, j in reversed(w))
+
+
+def agenda_product(n, a, b, strategy="leftmost"):
+    """``a * b`` by the agenda reducer over the pairwise concatenations."""
+    return normal_form(n, [(ca * cb, u + v) for u, ca in a.terms() for v, cb in b.terms()], strategy)
 
 
 def rand_element(rng, n, max_len=3, n_terms=3):
@@ -110,9 +117,6 @@ class TestNormalForm:
         """Multi-term products, whose right factors share prefixes, against the
         independent reducer under both strategies."""
 
-        def agenda(n, a, b, strategy):
-            return normal_form(n, [(ca * cb, u + v) for u, ca in a.terms() for v, cb in b.terms()], strategy)
-
         def coeff(rng):
             return LaurentQ({rng.randint(-2, 2): rng.choice((-3, -2, -1, 1, 2, 3))})
 
@@ -138,7 +142,7 @@ class TestNormalForm:
                    for _, _, b in cases) >= 10
         for n, a, b in cases:
             for strategy in ("leftmost", "rightmost"):
-                assert a * b == agenda(n, a, b, strategy)
+                assert a * b == agenda_product(n, a, b, strategy)
             for (u, _), (v, _) in product(a.terms(), b.terms()):
                 assert dict(_word_mul(u, v)) == dict(normal_form(n, [(1, u + v)]).terms())
 
@@ -157,6 +161,174 @@ class TestNormalForm:
     def test_out_of_range_generator_rejected(self):
         with pytest.raises(ValueError):
             Element.generator(2, 3, 1)
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """The products that leave the packed path, recorded through the kernel's
+    private ``_fallback`` hook."""
+    calls = []
+    exact = algebra._fallback
+
+    def record(left, right):
+        calls.append((left, right))
+        return exact(left, right)
+
+    monkeypatch.setattr(algebra, "_fallback", record)
+    return calls
+
+
+def packed_digits(value):
+    """The balanced base-2^64 digits of a packed coefficient's integer, lowest first."""
+    _, p = value
+    digits = []
+    while p:
+        c = (p + 2**63) % 2**64 - 2**63
+        digits.append(c)
+        p = (p - c) // 2**64
+    return digits
+
+
+class TestPackedKernel:
+    """README lemma 3: the product kernel packs each coefficient into one
+    integer while every digit lies in [-2^20, 2^20) and there are at most 64
+    digits, and otherwise takes the agenda reducer."""
+
+    LIM = 2**20
+
+    @staticmethod
+    def cases(rng, big):
+        """Seeded products at n <= 4 whose right factors carry the coefficient
+        ``big``, digits that borrow across a digit boundary (-1 + q^5 packs
+        as 2^320 - 1) and a span of 64 digits, the most that packs."""
+        small = [ONE, -ONE, LaurentQ({0: -1, 5: 1}), Q_MINUS_QINV, LaurentQ({-3: 2, 1: -3})]
+        wide = [LaurentQ(big), LaurentQ(-big), LaurentQ({0: -1, 5: big}), LaurentQ({-2: -1, 61: 1}),
+                LaurentQ({0: big, 1: -1})]
+        out = []
+        for n in (2, 3, 4):
+            for _ in range(6):
+                a = Element(n, [(tuple(sorted(rand_word(rng, n, 3))), rng.choice(small)) for _ in range(3)])
+                b = Element(n, [(tuple(sorted(rand_word(rng, n, 3))), rng.choice(wide)) for _ in range(3)])
+                if a and b:
+                    out.append((n, a, b))
+            # big * (t11 t12 - q^-1 t12 t11): the two t11 t12 terms cancel
+            a = t(n, 1, 1) + t(n, 1, 2)
+            b = Element(n, [(((1, 1),), big), (((1, 2),), -big * QINV)])
+            out.append((n, a, b))
+            # a left coefficient at the bound, times one generator: every state stays in range
+            out.append((n, Element(n, [(((n, n),), big), (((n, 1),), -big)]), t(n, 1, 1)))
+        return out
+
+    @classmethod
+    def outside(cls, c):
+        """Whether a coefficient breaks the invariant, read off its terms."""
+        exps = [e for e, _ in c.terms]
+        return max(exps) - min(exps) >= 64 or not all(type(v) is int and -cls.LIM <= v < cls.LIM
+                                                      for _, v in c.terms)
+
+    @pytest.mark.parametrize("big", [2**20 - 1, 2**20], ids=["packed", "fallback"])
+    def test_products_at_the_coefficient_bound(self, fallbacks, big):
+        """Each product equals the agenda reducer's under both strategies, and
+        takes the fallback exactly when an input coefficient breaks the
+        invariant (no state of these products leaves it)."""
+        fell = 0
+        for n, a, b in self.cases(random.Random(71), big):
+            del fallbacks[:]
+            ab = a * b
+            must = any(self.outside(c) for _, c in a.terms() + b.terms())
+            assert bool(fallbacks) == must
+            fell += must
+            for strategy in ("leftmost", "rightmost"):
+                assert ab == agenda_product(n, a, b, strategy)
+            if b.coeff(((1, 2),)) == -big * QINV and len(b.terms()) == 2:
+                assert ab.coeff(((1, 1), (1, 2))).is_zero()
+        assert (fell > 5) if big == 2**20 else not fell
+
+    def test_a_state_past_the_bound_falls_back(self, fallbacks):
+        """Every input inside, but ``left * t11^3`` reaches 2 (2^20 - 1) in a
+        state: the walk checks each state and takes the fallback.  The same
+        coefficient on the right factor enters no state and stays packed."""
+        c = self.LIM - 1
+        u, v = ((2, 2),) * 3, ((1, 1),) * 3
+        via_left = Element(2, [(u, c)]) * Element(2, [(v, 1)])
+        assert len(fallbacks) == 1
+        assert via_left == agenda_product(2, Element(2, [(u, c)]), Element(2, [(v, 1)]))
+        assert any(abs(x) > c for _, cf in via_left.terms() for _, x in cf.terms)
+        assert Element(2, [(u, 1)]) * Element(2, [(v, c)]) == via_left
+        assert len(fallbacks) == 1
+
+    def test_a_sum_across_a_wide_exponent_gap_falls_back(self, fallbacks):
+        """Two packed values of one word whose exponents lie 10^9 apart are not
+        added as integers (that integer would have 6.4 * 10^10 bits): in a
+        state and in the final sum alike, the product takes the fallback."""
+        wide = Element(2, [(((1, 1), (2, 2)), 1), (((1, 2), (2, 1)), LaurentQ.q_power(10**9))])
+        for a, b in ((wide, t(2, 1, 1)), (t(2, 2, 2), wide)):
+            del fallbacks[:]
+            started = time.perf_counter()
+            ab = a * b
+            assert time.perf_counter() - started < 1.0
+            assert len(fallbacks) == 1
+            assert ab == agenda_product(2, a, b)
+
+    @pytest.mark.parametrize("c, falls_back", [
+        (2**20, True), (10**30, True), (Fraction(1, 3), True), (LaurentQ.q_power(100000), False),
+        (LaurentQ({0: 1, 100: 1}), True),
+    ], ids=["2^20", "10^30", "1/3", "q^100000", "1+q^100"])
+    def test_linearity_across_the_two_paths(self, fallbacks, c, falls_back):
+        """``(c a) b == c (a b)`` and ``a (b c) == (a b) c``: a product with the
+        scaled factor takes the fallback whenever ``c`` leaves the invariant (a
+        power of q only moves the exponent), the other does not."""
+        rng = random.Random(73)
+        for n in (2, 3, 4):
+            for _ in range(4):
+                a, b = rand_element(rng, n), rand_element(rng, n)
+                a += t(n, 1, 1)  # a coefficient 1, so c * a holds c itself
+                b += t(n, n, n)
+                del fallbacks[:]
+                ab = a * b
+                assert not fallbacks
+                assert (a * c) * b == ab * c
+                assert bool(fallbacks) == falls_back
+                del fallbacks[:]
+                assert a * (b * c) == ab * c
+                assert bool(fallbacks) == falls_back
+
+    def test_the_check_is_the_invariant(self):
+        """One biased add and one mask accept a packed integer exactly when
+        it has at most 64 digits, all in [-2^20, 2^20)."""
+        rng = random.Random(79)
+        inner = [-self.LIM, -self.LIM + 1, -1, 0, 1, self.LIM - 1]
+        outer = [-2**62, -self.LIM - 1, self.LIM, 2**62]
+        seen = set()
+        for _ in range(3000):
+            digits = [rng.choice(inner if rng.random() < 0.98 else outer)
+                      for _ in range(rng.choice((1, 2, 5, 63, 64, 65)))]
+            digits[0] = digits[0] or 1
+            digits[-1] = digits[-1] or -1
+            value = (rng.randint(-5, 5), sum(c << (64 * k) for k, c in enumerate(digits)))
+            assert packed_digits(value) == digits
+            inside = len(digits) <= 64 and all(-self.LIM <= c < self.LIM for c in digits)
+            try:
+                algebra._check([value])
+                accepted = True
+            except algebra._Unpackable:
+                accepted = False
+            assert accepted == inside
+            seen.add((len(digits), inside))
+        assert {(64, True), (64, False), (65, False), (1, True), (1, False)} <= seen
+
+    def test_append_table_holds_the_invariant(self):
+        assert identities.run_suite(n_max=3).all_verified()
+        assert algebra._APPEND_CACHE
+        for (word, g), entry in algebra._APPEND_CACHE.items():
+            for w, value in entry:
+                digits = packed_digits(value)
+                assert digits[0] != 0 and len(digits) <= 64
+                assert all(-self.LIM <= c < self.LIM for c in digits)
+        rng = random.Random(83)
+        for (word, g), entry in rng.sample(sorted(algebra._APPEND_CACHE.items()), 300):
+            expected = reduce_terms([(ONE, word + (g,))])
+            assert {w: algebra._unpack(v) for w, v in entry} == expected
 
 
 class TestMultiDegree:

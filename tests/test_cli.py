@@ -158,6 +158,26 @@ class TestUsageErrors:
         assert "expected " in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
+        ("nf", "--n", "9" * 5000, "1"),
+        ("minor", "--n", "3", "--rows", "1," + "9" * 5000, "--cols", "1,3"),
+    ], ids=["n", "rows"])
+    def test_integer_options_past_the_digit_limit_name_the_count(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        err = capsys.readouterr().err
+        assert exc.value.code == EXIT_USAGE
+        assert len(err.encode()) < 300 and "5000 digits" in err and "9999" not in err
+
+    @pytest.mark.parametrize("value", ["1_7", "١٦", "9" * 5000],  # Arabic-Indic 16
+                             ids=["underscore", "arabic-indic", "5000-digits"])
+    def test_degree_cap_variable_takes_ascii_digits_only(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("QMB_MAX_DEGREE", value)
+        code, out, err = run(capsys, "nf", "--n", "2", "t[1,1]^17")
+        assert code == EXIT_PRECONDITION
+        assert out == "" and err.startswith("qmb: QMB_MAX_DEGREE") and err.count("\n") == 1
+        assert len(err.encode()) < 300 and "9999" not in err
+
+    @pytest.mark.parametrize("argv", [
         ("ore", "--n", "2", "--minor-rows", "2", "--minor-cols", "2", "--elem", "t[1,1]", "--max-power", "0"),
         ("ore", "--n", "2", "--minor-rows", "2", "--minor-cols", "2", "--elem", "t[1,1]", "--max-power", "-3"),
         ("suite", "--n", "2", "--size-cap", "0"),
