@@ -175,7 +175,7 @@ def _unpack(v: Packed) -> LaurentQ:
 
 
 _P_ONE: Packed = (0, 1)
-_P_MINUS_QMQI: Packed = (-1, 1 - (1 << 128))  # q^-1 - q
+_QINV_MINUS_Q = 1 - (1 << 128)  # q^-1 - q is (-1, _QINV_MINUS_Q)
 
 # (sorted word, appended generator) -> tuple of (sorted word, packed coefficient)
 _APPEND_CACHE: dict[tuple[Word, Gen], tuple[tuple[Word, Packed], ...]] = {}
@@ -210,9 +210,8 @@ def _append_gen(word: Word, g: Gen) -> tuple[tuple[Word, Packed], ...]:
         lower = _append_gen(p, (c, b))
         if len(lower) + 1 >= _MAX_TERMS:  # the first part adds one more term per word
             raise _Unpackable
-        me, mp = _P_MINUS_QMQI
         for w1, (e1, p1) in lower:
-            scaled = (e1 + me, p1 * mp)
+            scaled = (e1 - 1, p1 * _QINV_MINUS_Q)
             _check((scaled,))
             _add_scaled(acc, _append_gen(w1, (a, d)), scaled)
         _check(acc.values())
