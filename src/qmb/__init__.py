@@ -45,9 +45,12 @@ from . import algebra, minors, ore
 
 
 def clear_caches() -> None:
-    """Empty every process-global cache: the append table, expanded minors,
-    minor powers and certified generator witnesses."""
+    """Empty every process-global cache: the append table, the shared
+    monomials ``+-q^k`` of the product kernel, expanded minors, minor powers
+    and certified generator witnesses."""
     algebra._APPEND_CACHE.clear()
+    algebra._PACKED_UNITS.clear()
+    algebra._LAURENT_UNITS.clear()
     minors._minor_columns_cached.cache_clear()
     ore._minor_power.cache_clear()
     ore._GEN_WITNESS_CACHE.clear()

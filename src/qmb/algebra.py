@@ -36,9 +36,11 @@ digits of ``P`` are the true coefficients.  Every state and table entry is
 re-checked with one biased add and one mask (``_check``), which accepts
 exactly the values inside the invariant.  A rational coefficient, a digit
 outside the range, exponents 64 or more apart in one coefficient or one sum,
-or a state or entry that fails the check sends the whole product to the
-agenda reducer ``reduce_terms`` (``_fallback``), which is exact on any
-coefficients.  Elements, the API and the reducer keep ``LaurentQ``.
+or a state or entry that fails the check sends the whole product to
+``_fallback``: the same trie walk on ``LaurentQ``, exact on any
+coefficients, which reads the table's entries unpacked and forms an entry
+that fails the check on ``LaurentQ`` for that product alone.  Elements, the
+API and the agenda reducer ``reduce_terms`` keep ``LaurentQ``.
 """
 
 from __future__ import annotations
@@ -176,6 +178,7 @@ def _unpack(v: Packed) -> LaurentQ:
 
 _P_ONE: Packed = (0, 1)
 _QINV_MINUS_Q = 1 - (1 << 128)  # q^-1 - q is (-1, _QINV_MINUS_Q)
+_MINUS_QMQI = -Q_MINUS_QINV
 
 # (sorted word, appended generator) -> tuple of (sorted word, packed coefficient)
 _APPEND_CACHE: dict[tuple[Word, Gen], tuple[tuple[Word, Packed], ...]] = {}
@@ -251,43 +254,105 @@ def _add_scaled(acc: dict[Word, Packed], terms: Iterable[tuple[Word, Packed]], c
             raise _Unpackable
 
 
-def _mul_packed(left: dict[Word, LaurentQ], right: dict[Word, LaurentQ]) -> dict[Word, LaurentQ]:
-    if len(right) >= _MAX_TERMS:
-        raise _Unpackable
-    packed_right = {v: _pack(cf) for v, cf in right.items()}
-    acc: dict[Word, Packed] = {}
-    stack: list[tuple[Word, dict[Word, Packed]]] = [((), {w: _pack(cf) for w, cf in left.items()})]
+def _add_exact(acc: dict[Word, LaurentQ], terms: Iterable[tuple[Word, LaurentQ]], c: LaurentQ) -> None:
+    """``acc += c * terms`` on ``LaurentQ``, dropping words whose coefficient cancels."""
+    for w, cf in terms:
+        s = acc.get(w)
+        s = c * cf if s is None else s + c * cf
+        if s.is_zero():
+            acc.pop(w, None)
+        else:
+            acc[w] = s
+
+
+def _append_exact(word: Word, g: Gen, memo: dict) -> tuple[tuple[Word, LaurentQ], ...]:
+    """The append entry of ``(word, g)`` on ``LaurentQ``: the table's entry
+    unpacked, or, for an entry outside the packing invariant, the same
+    recursion as ``_append_gen`` run on ``LaurentQ``.  ``memo`` holds both
+    kinds for the one product being formed."""
+    key = (word, g)
+    out = memo.get(key)
+    if out is not None:
+        return out
+    try:
+        out = tuple((w, _unpack(v)) for w, v in _append_gen(word, g))
+    except _Unpackable:  # so word[-1] > g: an append that stays sorted always packs
+        x = word[-1]
+        p = word[:-1]
+        a, b = x
+        c, d = g
+        if a == c or b == d:
+            out = tuple((w + (x,), cf * QINV) for w, cf in _append_exact(p, g, memo))
+        elif b < d:
+            out = tuple((w + (x,), cf) for w, cf in _append_exact(p, g, memo))
+        else:
+            acc: dict[Word, LaurentQ] = {w + (x,): cf for w, cf in _append_exact(p, g, memo)}
+            for w1, c1 in _append_exact(p, (c, b), memo):
+                _add_exact(acc, _append_exact(w1, (a, d), memo), c1 * _MINUS_QMQI)
+            out = tuple(sorted(acc.items()))
+    memo[key] = out
+    return out
+
+
+def _walk(left: dict, right: dict, step, add) -> dict:
+    """``left * right`` by the right factor's prefix trie: ``step(state, g)``
+    is ``state * g``, ``add(acc, terms, c)`` is ``acc += c * terms``."""
+    acc: dict = {}
+    stack: list[tuple[Word, dict]] = [((), left)]
     for v in sorted(right):
         while stack[-1][0] != v[: len(stack[-1][0])]:
             stack.pop()
         prefix, state = stack[-1]
         for g in v[len(prefix) :]:
-            if len(state) >= _MAX_TERMS:
-                raise _Unpackable
-            nxt: dict[Word, Packed] = {}
-            for w, cf in state.items():
-                _add_scaled(nxt, _APPEND_CACHE.get((w, g)) or _append_gen(w, g), cf)
-            _check(nxt.values())
-            prefix, state = prefix + (g,), nxt
+            prefix, state = prefix + (g,), step(state, g)
             stack.append((prefix, state))
-        _add_scaled(acc, state.items(), packed_right[v])
+        add(acc, state.items(), right[v])
+    return acc
+
+
+def _step_packed(state: dict[Word, Packed], g: Gen) -> dict[Word, Packed]:
+    if len(state) >= _MAX_TERMS:
+        raise _Unpackable
+    nxt: dict[Word, Packed] = {}
+    for w, cf in state.items():
+        _add_scaled(nxt, _append_gen(w, g), cf)
+    _check(nxt.values())
+    return nxt
+
+
+def _mul_packed(left: dict[Word, LaurentQ], right: dict[Word, LaurentQ]) -> dict[Word, LaurentQ]:
+    if len(right) >= _MAX_TERMS:
+        raise _Unpackable
+    packed_left = {w: _pack(cf) for w, cf in left.items()}
+    packed_right = {v: _pack(cf) for v, cf in right.items()}
+    acc = _walk(packed_left, packed_right, _step_packed, _add_scaled)
     return {w: _unpack(v) for w, v in acc.items()}
 
 
 def _fallback(left: dict[Word, LaurentQ], right: dict[Word, LaurentQ]) -> dict[Word, LaurentQ]:
-    """Normal form of ``left * right`` by the agenda reducer, exact on any coefficients."""
-    return reduce_terms([(c1 * c2, u + v) for u, c1 in left.items() for v, c2 in right.items()])
+    """Normal form of ``left * right`` by the same trie walk on ``LaurentQ``,
+    exact on any coefficients.  Table entries are read unpacked; an entry
+    outside the invariant is formed on ``LaurentQ`` for this product only."""
+    memo: dict = {}
+
+    def step(state: dict[Word, LaurentQ], g: Gen) -> dict[Word, LaurentQ]:
+        nxt: dict[Word, LaurentQ] = {}
+        for w, cf in state.items():
+            _add_exact(nxt, _append_exact(w, g, memo), cf)
+        return nxt
+
+    return _walk(left, right, step, _add_exact)
 
 
 def _mul_terms(left: dict[Word, LaurentQ], right: dict[Word, LaurentQ]) -> dict[Word, LaurentQ]:
     """Normal form of ``left * right``, walking the right factor's prefix trie.
 
     The right factor's words are visited in sorted order, so words that share
-    a prefix are adjacent.  ``stack`` holds the states ``(prefix, left *
+    a prefix are adjacent.  The walk holds the states ``(prefix, left *
     prefix)`` along the current word; a state is extended one generator at a
-    time with ``_append_gen``, and every shared prefix is multiplied once.
+    time with the append table, and every shared prefix is multiplied once.
     The walk runs on packed coefficients; a product that leaves the packing
-    invariant anywhere is redone by ``_fallback``.
+    invariant anywhere is walked again on ``LaurentQ`` by ``_fallback``.
     """
     try:
         return _mul_packed(left, right)
@@ -303,9 +368,6 @@ _WORD_MUL_CACHE: dict[tuple[Word, Word], tuple[tuple[Word, LaurentQ], ...]] = {}
 def _word_mul(u: Word, v: Word) -> tuple[tuple[Word, LaurentQ], ...]:
     """Normal form of the concatenation of two sorted words."""
     return tuple(sorted(_mul_terms({u: ONE}, {v: ONE}).items()))
-
-
-_MINUS_QMQI = -Q_MINUS_QINV
 
 
 def rewrite_pair(x: Gen, y: Gen) -> list[tuple[LaurentQ, Word]]:

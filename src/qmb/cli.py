@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional
 
 from .algebra import DegreeCapError, Element, _read_int
 from .exprparse import ExprSyntaxError, parse_element
@@ -50,24 +49,19 @@ class UsageError(Exception):
     """A combination of options the verb cannot run with (exit 2)."""
 
 
-def _option_int(text: str) -> Optional[int]:
-    """``text`` read as the expression grammar reads its integers
-    (``algebra._read_int``), or None when it is no integer; one past the
-    digit limit is a usage error that names its digit count."""
+def _ascii_int(text: str, least: int = 0) -> int:
+    """An integer option of at least ``least``, read as the expression grammar
+    reads its integers (``algebra._read_int``); one past the digit limit is
+    refused by its digit count."""
     try:
-        return _read_int(text.strip())
+        value = _read_int(text.strip())
+        if value >= least:
+            return value
     except DegreeCapError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
     except ValueError:
-        return None
-
-
-def _ascii_int(text: str, least: int = 0) -> int:
-    """An integer option of at least ``least``."""
-    value = _option_int(text)
-    if value is None or value < least:
-        raise argparse.ArgumentTypeError(f"expected {'a positive' if least else 'an'} integer, got {text!r}")
-    return value
+        pass
+    raise argparse.ArgumentTypeError(f"expected {'a positive' if least else 'an'} integer, got {text!r}")
 
 
 def _positive_int(text: str) -> int:
@@ -75,10 +69,8 @@ def _positive_int(text: str) -> int:
 
 
 def _labels(text: str) -> tuple[int, ...]:
-    values = tuple(_option_int(v) for v in text.split(",") if v.strip() != "")
-    if None in values:
-        raise argparse.ArgumentTypeError(f"expected a comma-separated integer list, got {text!r}")
-    return values
+    """A comma-separated list of integer options."""
+    return tuple(_ascii_int(v) for v in text.split(",") if v.strip() != "")
 
 
 def _emit(data, fmt: str, out_path=None) -> None:

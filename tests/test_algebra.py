@@ -192,7 +192,7 @@ def packed_digits(value):
 class TestPackedKernel:
     """README lemma 3: the product kernel packs each coefficient into one
     integer while every digit lies in [-2^20, 2^20) and there are at most 64
-    digits, and otherwise takes the agenda reducer."""
+    digits, and otherwise walks the product again on LaurentQ."""
 
     LIM = 2**20
 
@@ -269,6 +269,52 @@ class TestPackedKernel:
             assert time.perf_counter() - started < 1.0
             assert len(fallbacks) == 1
             assert ab == agenda_product(2, a, b)
+
+    def test_a_wide_state_keeps_the_tabled_walk(self, fallbacks):
+        """In ``t22^8 t11^8`` at n = 2 the coefficient of ``t12^8 t21^8``
+        spans 73 digits (q^-64 to q^8), so the last state leaves the
+        invariant.  The walk on LaurentQ reads the same table and takes
+        milliseconds (the agenda reducer takes over a minute on this
+        product).  The result matches the product formed one generator at a
+        time and, at q = 1, the commutative product."""
+        started = time.perf_counter()
+        ab = t(2, 2, 2) ** 8 * t(2, 1, 1) ** 8
+        assert time.perf_counter() - started < 2.0
+        assert len(fallbacks) == 1
+        wide = ab.coeff(((1, 2),) * 8 + ((2, 1),) * 8)
+        assert (wide.min_exp(), wide.max_exp()) == (-64, 8)
+        chain = t(2, 2, 2) ** 8
+        for _ in range(8):
+            chain = chain * t(2, 1, 1)
+        assert chain == ab
+        assert len(ab.terms()) == 9
+        for w, cf in ab.terms():
+            assert cf.specialize(1) == (1 if w == ((1, 1),) * 8 + ((2, 2),) * 8 else 0)
+
+    @pytest.mark.parametrize("n, rows, cols", [(2, (1, 2), (1, 2)), (3, (1, 2), (2, 3)), (3, (2, 3), (1, 2))])
+    def test_minor_powers_stay_packed(self, fallbacks, n, rows, cols):
+        """A 2 x 2 minor to the power 8 (degree 16, the default cap) stays
+        inside the invariant and takes milliseconds."""
+        d = quantum_minor(n, rows, cols)
+        started = time.perf_counter()
+        d8 = d**8
+        assert time.perf_counter() - started < 2.0
+        assert not fallbacks
+        assert d8 == (d**4) * (d**4) == d * d**7
+
+    def test_an_entry_past_the_bound_is_formed_exactly(self, fallbacks, monkeypatch):
+        """The append entry of ``t12^32 t21^32 t22^32`` and ``t11`` leaves the
+        invariant itself: the table does not store it, and the walk on
+        LaurentQ forms it there, equal to the agenda reducer's result."""
+        monkeypatch.setenv("QMB_MAX_DEGREE", "100")
+        word = ((1, 2),) * 32 + ((2, 1),) * 32 + ((2, 2),) * 32
+        with pytest.raises(algebra._Unpackable):
+            algebra._append_gen(word, (1, 1))
+        ab = Element(2, [(word, 1)]) * t(2, 1, 1)
+        assert len(fallbacks) == 1
+        assert (word, (1, 1)) not in algebra._APPEND_CACHE
+        for strategy in ("leftmost", "rightmost"):
+            assert ab == agenda_product(2, Element(2, [(word, 1)]), t(2, 1, 1), strategy)
 
     @pytest.mark.parametrize("c, falls_back", [
         (2**20, True), (10**30, True), (Fraction(1, 3), True), (LaurentQ.q_power(100000), False),
