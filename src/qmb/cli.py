@@ -164,11 +164,9 @@ def _cmd_ore(args) -> int:
     minors = [MinorId(r, c) for r, c in zip(args.minor_rows, args.minor_cols)]
     if len(minors) == 1:
         w = witness_for_element(args.n, minors[0], elem, side, args.strategy, m_max=args.max_power)
-        data = w.to_json()
     else:
-        chain = multi_minor_witness(args.n, minors, elem, side, args.strategy, m_max=args.max_power)
-        data = chain.to_json()
-    _emit(data, "json", args.out)
+        w = multi_minor_witness(args.n, minors, elem, side, args.strategy, m_max=args.max_power)
+    _emit(w.to_json(), "json", args.out)
     return EXIT_OK
 
 

@@ -14,14 +14,13 @@ solver asks right-form questions only (see :func:`_solve_at_power`).
 witness file, and ``1`` in every witness either route produces, because
 every solver system is unit-triangular on its leading rows and so has a
 unique, Laurent solution (README lemma 2).  ``target_power`` is 1 except for
-intermediate witnesses produced by :func:`extend_to_power`.  Every public
-function replays the equation of the witness it returns exactly once, by an
-independent normal-form computation, so no uncertified witness ever escapes.
+intermediate witnesses produced by :func:`extend_to_power`.  A single
+witness is replayed once, at its return, by an independent normal-form
+computation, so no uncertified witness ever escapes; a chain is certified by
+its links' replays plus the link conditions (:func:`_check_links`).
 
-A :class:`ChainWitness` clears an element against an ordered product of
-minors.  It keeps only its links, one single-minor witness per minor; its
-powers, scale and cofactor follow from them.  Both classes replay one
-equation (:func:`_residual`) and share one file reader and one checker.
+A :class:`ChainWitness` keeps only its links, one single-minor witness per
+minor of an ordered product; its powers, scale and cofactor follow from them.
 
 Two independent routes produce witnesses:
 
@@ -95,16 +94,6 @@ def _residual(w, scaled: list, cleared: list) -> Element:
     return _times(w.side, P, w.element).scale(w.scale) - _times(w.side, w.cofactor, C)
 
 
-def _certify(w, scaled):
-    """A copy of ``w`` marked certified once its equation replays to zero."""
-    res = w.residual()
-    if not res.is_zero():
-        against = " ".join(f"{m.label()}^{k}" for m, k in scaled)
-        raise CertificateError(f"witness for {w.element.render()} against {against} ({w.side}) "
-                               f"has nonzero residual {res.render()}")
-    return replace(w, certified=True)
-
-
 def _json_head(w, schema: str) -> dict:
     """The keys both witness schemas write."""
     return {"schema": schema, "n": w.n, "element": w.element.render(), "side": w.side,
@@ -135,7 +124,11 @@ class OreWitness:
 
     def certify(self) -> "OreWitness":
         """A copy marked certified once the equation replays to zero."""
-        return _certify(self, [(self.minor, self.power)])
+        res = self.residual()
+        if not res.is_zero():
+            raise CertificateError(f"witness for {self.element.render()} against {self.minor.label()}^{self.power} "
+                                   f"({self.side}) has nonzero residual {res.render()}")
+        return replace(self, certified=True)
 
     def to_json(self) -> dict:
         return {
@@ -593,14 +586,12 @@ def _clearing_order(side: str, seq: Sequence) -> list:
 class ChainWitness:
     """A chained clearance against an ordered product of minors.
 
-    Left form:  ``scale * D_1^{a_1} ... D_p^{a_p} * element
-                 == cofactor * (D_1 D_2 ... D_p)``
-    Right form: ``scale * element * D_1^{a_1} ... D_p^{a_p}
-                 == (D_1 D_2 ... D_p) * cofactor``
+    Left form:  ``scale * D_1^{a_1} ... D_p^{a_p} * element == cofactor * (D_1 D_2 ... D_p)``
+    Right form: ``scale * element * D_1^{a_1} ... D_p^{a_p} == (D_1 D_2 ... D_p) * cofactor``
 
     ``links`` are single-minor witnesses in clearing order, each clearing the
     cofactor of the one before; ``powers``, ``scale`` and ``cofactor`` follow
-    from them.
+    from them, and so does the equation (README lemma 4), which :meth:`residual` replays whole.
     """
 
     n: int
@@ -627,8 +618,11 @@ class ChainWitness:
         return _residual(self, list(zip(self.minors, self.powers)), [(m, 1) for m in self.minors])
 
     def certify(self) -> "ChainWitness":
-        """A copy marked certified once the equation replays to zero."""
-        return _certify(self, zip(self.minors, self.powers))
+        """A copy marked certified once its links are certified and meet the link conditions."""
+        if not all(link.certified for link in self.links):
+            raise CertificateError("a chain is certified only through certified links")
+        _check_links(self)
+        return replace(self, certified=True)
 
     def to_json(self) -> dict:
         return {
@@ -637,6 +631,18 @@ class ChainWitness:
             "powers": self.powers,
             "links": [w.to_json() for w in self.links],
         }
+
+
+def _check_links(w: ChainWitness) -> None:
+    """Raise ValueError, naming the condition, unless ``w``'s links meet the link conditions of README lemma 4."""
+    if not w.links or len(w.links) != len(w.minors):
+        raise ValueError("malformed chain: a chain has one link per minor, and at least one")
+    for i, (link, minor) in enumerate(zip(w.links, _clearing_order(w.side, w.minors))):
+        if (link.n, link.side, link.target_power) != (w.n, w.side, 1):
+            raise ValueError(f"malformed chain: link {i} must have the chain's n and side, and target power 1")
+        if (link.minor, link.element) != (minor, w.links[i - 1].cofactor if i else w.element):
+            cleared = f"the cofactor of link {i - 1}" if i else "the chain's element"
+            raise ValueError(f"malformed chain: link {i} must clear {cleared} against {minor.label()}")
 
 
 def multi_minor_witness(
@@ -653,7 +659,7 @@ def multi_minor_witness(
     each successive cofactor against the minor before it, so the set element
     on the cleared side is the product in the given order.  Each link is
     ``witness_for_element`` with ``strategy`` and ``m_max``; the chain's
-    powers, scale and cofactor follow from its links.
+    powers, scale, cofactor and certificate follow from its links.
     """
     if not minors:
         raise ValueError("need at least one minor")
@@ -687,8 +693,8 @@ def _json_int(data: dict, key: str) -> int:
 def witness_from_json(data: dict) -> OreWitness | ChainWitness:
     """The (uncertified) witness a ``to_json`` dict states; every key that
     ``to_json`` writes must be present, and each of ``DERIVED_KEYS`` must be
-    what ``to_json`` derives.  A chain's links are single witnesses, each
-    clearing the cofactor before it against the next minor."""
+    what ``to_json`` derives.  A chain's links are single witnesses, read
+    uncertified, that must meet the link conditions (:func:`_check_links`)."""
     if data["schema"] not in DERIVED_KEYS:
         raise ValueError(f"unsupported witness schema {data['schema']!r}")
     n = _json_int(data, "n")
@@ -708,15 +714,11 @@ def witness_from_json(data: dict) -> OreWitness | ChainWitness:
             infeasible=data["infeasible_powers"],
         )
     else:
-        if not data["links"] or any(link["schema"] != "qmb-witness-v1" for link in data["links"]):
-            raise ValueError("malformed witness file: a chain has one or more links, each a single witness")
-        links = [witness_from_json(link) for link in data["links"]]
+        if any(link["schema"] != "qmb-witness-v1" for link in data["links"]):
+            raise ValueError("malformed witness file: a chain's links are each a single witness")
         w = ChainWitness(n=n, minors=[MinorId(tuple(m["rows"]), tuple(m["cols"])) for m in data["minors"]],
-                         element=element, side=data["side"], links=links)
-        steps = zip(_clearing_order(w.side, w.minors), [element] + [link.cofactor for link in links[:-1]])
-        stated_links = [(link.n, link.side, link.target_power, link.minor, link.element) for link in links]
-        if len(links) != len(w.minors) or stated_links != [(n, w.side, 1, minor, cleared) for minor, cleared in steps]:
-            raise ValueError("malformed chain: each link must clear the cofactor before it against the next minor")
+                         element=element, side=data["side"], links=[witness_from_json(link) for link in data["links"]])
+        _check_links(w)
     stated = w.to_json()
     missing = stated.keys() - data.keys()
     if missing:
@@ -750,7 +752,7 @@ def verify_witness_file(path: str) -> OreWitness | ChainWitness:
     ``denominator_zeros``; a chain's powers, scale and cofactor, from its
     links), and ``infeasible_powers`` (empty, or the solver's record for every
     power below ``power``) by solving at each of those powers.  A chain's
-    links are each checked and replayed so, then the chain's own equation.  A
+    links are each checked and replayed so, which certifies the chain.  A
     malformed, vacuous or misstated file raises ValueError, and so does a
     scale that is neither zero nor a monomial ``c*q^k``."""
     with open(path, "r", encoding="utf-8") as fh:

@@ -20,7 +20,7 @@ from qmb.cli import (
 from qmb import minors
 from qmb.exprparse import parse_element, parse_laurent
 from qmb.minors import MinorId, quantum_minor
-from qmb.ore import extend_to_power, solve_witness, witness_to_file
+from qmb.ore import extend_to_power, solve_witness, witness_from_json, witness_to_file
 from qmb.scalars import Q, LaurentQ
 
 
@@ -34,6 +34,15 @@ def run(capsys, *argv):
 CHAIN_ARGV = ["ore", "--n", "3", "--minor-rows", "3", "--minor-cols", "3",
               "--minor-rows", "2,3", "--minor-cols", "2,3", "--elem", "t[1,1]"]
 MINOR_ARGV = ["ore", "--n", "3", "--minor-rows", "2,3", "--minor-cols", "2,3", "--elem", "t[1,1]"]
+
+
+def extend_last_link(data):
+    """A chain file whose last link clears against the square of its minor; that
+    link replays, and the chain's powers, scale and cofactor are restated to match."""
+    chain = witness_from_json(data)
+    last = extend_to_power(chain.links[-1], 2)
+    stated = dataclasses.replace(chain, links=[*chain.links[:-1], last]).to_json()
+    data.update({key: stated[key] for key in ("powers", "scale", "cofactor")}, links=stated["links"])
 
 
 class TestNf:
@@ -431,6 +440,9 @@ class TestOreVerb:
         (lambda d: d.update(links=[]), EXIT_PRECONDITION),
         (lambda d: d["links"][0]["infeasible_powers"][0].update(rank=0), EXIT_PRECONDITION),
         (lambda d: d["minors"].insert(0, {"rows": [1], "cols": [1]}), EXIT_PRECONDITION),
+        # every link replays on its own; only the link conditions reject these two
+        (extend_last_link, (EXIT_PRECONDITION, "link 1 must have the chain's n and side, and target power 1")),
+        (lambda d: d.update(element="t[1,2]"), (EXIT_PRECONDITION, "link 0 must clear the chain's element")),
     ], ids=["wrong-power", "partial-infeasible", "unknown-side", "negative-power", "zero-powers",
             "zero-target-power", "zero-scale", "zero-element", "missing-key", "huge-power", "zero-n", "huge-n",
             "unparsable-cofactor",
@@ -440,9 +452,11 @@ class TestOreVerb:
             "bool-label", "word-scale", "dense-degree-399-scale", "non-monomial-scale", "huge-exponent-cofactor",
             "chain-powers-changed", "chain-links-reversed",
             "chain-minors-reversed", "chain-no-links", "chain-link-infeasible-misstated",
-            "chain-extra-minor"])
+            "chain-extra-minor", "chain-last-link-extended", "chain-element-changed"])
     def test_tampered_witness_exit(self, capsys, tmp_path, changes, expected):
-        # a dict replaces keys of a single witness file; a function tampers a solver chain file
+        # a dict replaces keys of a single witness file; a function tampers a solver chain file;
+        # an expected (code, text) also names the broken condition
+        expected, named = expected if isinstance(expected, tuple) else (expected, "")
         path = tmp_path / "w.json"
         if callable(changes):
             run(capsys, *CHAIN_ARGV, "--strategy", "solver", "--out", str(path))
@@ -458,7 +472,7 @@ class TestOreVerb:
             data.update(changes)
         path.write_text(json.dumps({k: v for k, v in data.items() if v is not None}))
         code, out, err = run(capsys, "verify-witness", str(path))
-        assert code == expected
+        assert code == expected and named in err
         assert out == "" and err.startswith("qmb: ") and err.count("\n") == 1
 
     def test_power_past_the_digit_limit_exits_on_the_cap(self, capsys, tmp_path):
@@ -566,6 +580,17 @@ class TestOreVerb:
         data = json.loads(path.read_text())
         assert data["schema"] == "qmb-chain-witness-v1"
         assert data["certified"] is True
+
+    @pytest.mark.parametrize("side, powers", [("left", [6, 2]), ("right", [2, 6])])
+    def test_chain_over_the_cap_only_as_a_whole_verifies(self, capsys, tmp_path, side, powers):
+        # D[{1,2},{1,3}] D[{1,3},{1,2}] against t[2,2]: every link is within the
+        # degree cap, the chain's own equation (degree 17) is not
+        path = tmp_path / "chain.json"
+        argv = ["ore", "--n", "3", "--minor-rows", "1,2", "--minor-cols", "1,3", "--minor-rows", "1,3",
+                "--minor-cols", "1,2", "--elem", "t[2,2]", "--side", side, "--strategy", "constructive"]
+        assert run(capsys, *argv, "--out", str(path))[0] == EXIT_OK
+        code, out, _ = run(capsys, "verify-witness", str(path))
+        assert code == EXIT_OK and json.loads(out)["powers"] == powers
 
     def test_zero_element_rejected(self, capsys):
         code, _, err = run(

@@ -184,6 +184,8 @@ def test_n3_generator_witnesses_are_pinned():
 
 
 CHAIN_MINORS = [MinorId((3,), (3,)), MinorId((2, 3), (2, 3))]  # the README's chain at n = 3
+# against t[2,2], constructive: links within the cap, the chain's equation above it
+OVER_CAP_MINORS = [MinorId((1, 2), (1, 3)), MinorId((1, 3), (1, 2))]
 
 
 @pytest.mark.parametrize("side, strategy, digest", [
@@ -596,6 +598,45 @@ class TestChains:
             multi_minor_witness(3, chain, t22, LEFT, "constructive", m_max=4)
         assert multi_minor_witness(3, chain, t22, LEFT, "constructive", m_max=5).powers == [5, 1]
 
+    @pytest.mark.parametrize("side, powers", [(LEFT, [6, 2]), (RIGHT, [2, 6])])
+    def test_a_chain_over_the_cap_only_as_a_whole_certifies(self, monkeypatch, side, powers):
+        """Every link is within the cap; the chain's own equation has degree 17."""
+        chain = multi_minor_witness(3, OVER_CAP_MINORS, gen(3, 2, 2), side, "constructive")
+        assert chain.certified and chain.powers == powers
+        with pytest.raises(algebra.DegreeCapError, match="normal-form degree 17 "):
+            chain.residual()
+        monkeypatch.setenv(algebra.DEGREE_CAP_ENV, "24")
+        assert chain.residual().is_zero()
+
+    def test_certify_takes_replayed_links_in_clearing_order(self):
+        chain = multi_minor_witness(3, CHAIN_MINORS, gen(3, 1, 1), LEFT, "solver")
+        unreplayed = witness_from_json(chain.links[0].to_json())
+        assert chain.links[0].to_json()["certified"] is True and not unreplayed.certified
+        for links in ([unreplayed, chain.links[1]], witness_from_json(chain.to_json()).links):
+            with pytest.raises(CertificateError, match="only through certified links"):
+                dataclasses.replace(chain, certified=False, links=links).certify()
+        with pytest.raises(ValueError, match="link 0 must clear the chain's element against D"):
+            dataclasses.replace(chain, certified=False, links=chain.links[::-1]).certify()
+        assert dataclasses.replace(chain, certified=False).certify() == chain
+
+
+def replays_to_zero(chain, monkeypatch):
+    """The chain's own equation replays to zero, the cap raised only as far as its degree."""
+    degree = sum(k * m.size() for m, k in zip(chain.minors, chain.powers)) + chain.element.degree()
+    with monkeypatch.context() as patch:
+        patch.setenv(algebra.DEGREE_CAP_ENV, str(max(degree, algebra.degree_cap())))
+        return chain.residual().is_zero()
+
+
+def fails_in_a_link(n, minors, element, side):
+    """Whether clearing ``element`` link by link meets the degree cap inside a link."""
+    for minor in (minors[::-1] if side == LEFT else minors):
+        try:
+            element = witness_for_element(n, minor, element, side, "constructive").cofactor
+        except algebra.DegreeCapError:
+            return True
+    return False
+
 
 class TestChainSweep:
     """The paper's claim for sets of several minors, on a seeded sample of the
@@ -605,20 +646,23 @@ class TestChainSweep:
     CASES = [(pair, (k, l), side) for pair in [(a, b) for a in PROPER_N3 for b in PROPER_N3]
              for k in (1, 2, 3) for l in (1, 2, 3) for side in SIDES]
 
-    def test_sample_certifies_on_both_routes(self, tmp_path):
+    def test_sample_certifies_on_both_routes(self, tmp_path, monkeypatch):
         assert len(self.CASES) == 5832
         path = tmp_path / "chain.json"
         for minors, (k, l), side in random.Random(89).sample(self.CASES, 150):
             t = gen(3, k, l)
             solved = multi_minor_witness(3, minors, t, side, "solver")
             assert solved.certified and all(w.scale == ONE for w in solved.links)
+            assert replays_to_zero(solved, monkeypatch)
             witness_to_file(solved, str(path))
             assert verify_witness_file(str(path)) == solved
             try:
                 built = multi_minor_witness(3, minors, t, side, "constructive")
             except algebra.DegreeCapError:
+                assert fails_in_a_link(3, minors, t, side)
                 continue
             assert built.certified and built.links[0].power >= solved.links[0].power
+            assert replays_to_zero(built, monkeypatch)
 
     def test_roadmap_example(self):
         """The constructive first link has power 5 and a cofactor of degree 9;
