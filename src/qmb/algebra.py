@@ -37,10 +37,12 @@ re-checked with one biased add and one mask (``_check``), which accepts
 exactly the values inside the invariant.  A rational coefficient, a digit
 outside the range, exponents 64 or more apart in one coefficient or one sum,
 or a state or entry that fails the check sends the whole product to
-``_fallback``: the same trie walk on ``LaurentQ``, exact on any
-coefficients, which reads the table's entries unpacked and forms an entry
-that fails the check on ``LaurentQ`` for that product alone.  Elements, the
-API and the agenda reducer ``reduce_terms`` keep ``LaurentQ``.
+``_fallback``: the same walk on ``LaurentQ``, exact on any coefficients,
+which reads the table's entries unpacked.  It forms an entry that fails the
+check, for that product alone, as ``word[:-1]`` times the normal form of
+``word[-1] g`` that ``rewrite_pair`` gives, so the rule is written packed in
+``_append_gen`` and on ``LaurentQ`` in ``rewrite_pair``.  Elements, the API
+and ``reduce_terms`` keep ``LaurentQ``.
 """
 
 from __future__ import annotations
@@ -265,38 +267,24 @@ def _add_exact(acc: dict[Word, LaurentQ], terms: Iterable[tuple[Word, LaurentQ]]
             acc[w] = s
 
 
-def _append_exact(word: Word, g: Gen, memo: dict) -> tuple[tuple[Word, LaurentQ], ...]:
-    """The append entry of ``(word, g)`` on ``LaurentQ``: the table's entry
-    unpacked, or, for an entry outside the packing invariant, the same
-    recursion as ``_append_gen`` run on ``LaurentQ``.  ``memo`` holds both
-    kinds for the one product being formed."""
-    key = (word, g)
-    out = memo.get(key)
-    if out is not None:
-        return out
-    try:
-        out = tuple((w, _unpack(v)) for w, v in _append_gen(word, g))
-    except _Unpackable:  # so word[-1] > g: an append that stays sorted always packs
-        x = word[-1]
-        p = word[:-1]
-        a, b = x
-        c, d = g
-        if a == c or b == d:
-            out = tuple((w + (x,), cf * QINV) for w, cf in _append_exact(p, g, memo))
-        elif b < d:
-            out = tuple((w + (x,), cf) for w, cf in _append_exact(p, g, memo))
-        else:
-            acc: dict[Word, LaurentQ] = {w + (x,): cf for w, cf in _append_exact(p, g, memo)}
-            for w1, c1 in _append_exact(p, (c, b), memo):
-                _add_exact(acc, _append_exact(w1, (a, d), memo), c1 * _MINUS_QMQI)
-            out = tuple(sorted(acc.items()))
-    memo[key] = out
-    return out
+def _check_state(state: dict[Word, Packed]) -> None:
+    """Raise ``_Unpackable`` unless the state has fewer than ``2^17`` words, all packed."""
+    if len(state) >= _MAX_TERMS:
+        raise _Unpackable
+    _check(state.values())
 
 
-def _walk(left: dict, right: dict, step, add) -> dict:
-    """``left * right`` by the right factor's prefix trie: ``step(state, g)``
-    is ``state * g``, ``add(acc, terms, c)`` is ``acc += c * terms``."""
+def _walk(left: dict, right: dict, entry, add, check=None) -> dict:
+    """``left * right`` by the right factor's prefix trie, in either
+    arithmetic: ``entry(w, g)`` is the append entry of ``(w, g)`` and
+    ``add(acc, terms, c)`` is ``acc += c * terms``.  ``check``, if given, is
+    called on every state formed.
+
+    The right factor's words are visited in sorted order, so words that share
+    a prefix are adjacent.  The walk holds the states ``(prefix, left *
+    prefix)`` along the current word; a state is extended one generator at a
+    time, and every shared prefix is multiplied once.
+    """
     acc: dict = {}
     stack: list[tuple[Word, dict]] = [((), left)]
     for v in sorted(right):
@@ -304,60 +292,51 @@ def _walk(left: dict, right: dict, step, add) -> dict:
             stack.pop()
         prefix, state = stack[-1]
         for g in v[len(prefix) :]:
-            prefix, state = prefix + (g,), step(state, g)
+            nxt: dict = {}
+            for w, cf in state.items():
+                add(nxt, entry(w, g), cf)
+            if check:
+                check(nxt)
+            prefix, state = prefix + (g,), nxt
             stack.append((prefix, state))
         add(acc, state.items(), right[v])
     return acc
 
 
-def _step_packed(state: dict[Word, Packed], g: Gen) -> dict[Word, Packed]:
-    if len(state) >= _MAX_TERMS:
-        raise _Unpackable
-    nxt: dict[Word, Packed] = {}
-    for w, cf in state.items():
-        _add_scaled(nxt, _append_gen(w, g), cf)
-    _check(nxt.values())
-    return nxt
-
-
-def _mul_packed(left: dict[Word, LaurentQ], right: dict[Word, LaurentQ]) -> dict[Word, LaurentQ]:
-    if len(right) >= _MAX_TERMS:
-        raise _Unpackable
-    packed_left = {w: _pack(cf) for w, cf in left.items()}
-    packed_right = {v: _pack(cf) for v, cf in right.items()}
-    acc = _walk(packed_left, packed_right, _step_packed, _add_scaled)
-    return {w: _unpack(v) for w, v in acc.items()}
-
-
 def _fallback(left: dict[Word, LaurentQ], right: dict[Word, LaurentQ]) -> dict[Word, LaurentQ]:
-    """Normal form of ``left * right`` by the same trie walk on ``LaurentQ``,
-    exact on any coefficients.  Table entries are read unpacked; an entry
-    outside the invariant is formed on ``LaurentQ`` for this product only."""
+    """Normal form of ``left * right`` by ``_walk`` on ``LaurentQ``, exact on
+    any coefficients.  Table entries are read unpacked.  An entry outside the
+    invariant has ``word[-1] > g`` (an append that stays sorted always packs);
+    it is formed, for this product only, by the same walk as ``word[:-1]``
+    times the normal form of ``word[-1] g``, read from ``rewrite_pair``."""
     memo: dict = {}
 
-    def step(state: dict[Word, LaurentQ], g: Gen) -> dict[Word, LaurentQ]:
-        nxt: dict[Word, LaurentQ] = {}
-        for w, cf in state.items():
-            _add_exact(nxt, _append_exact(w, g, memo), cf)
-        return nxt
+    def entry(word: Word, g: Gen) -> tuple[tuple[Word, LaurentQ], ...]:
+        out = memo.get((word, g))
+        if out is None:
+            try:
+                out = tuple((w, _unpack(v)) for w, v in _append_gen(word, g))
+            except _Unpackable:
+                pair = {p: c for c, p in rewrite_pair(word[-1], g)}
+                out = tuple(_walk({word[:-1]: ONE}, pair, entry, _add_exact).items())
+            memo[(word, g)] = out
+        return out
 
-    return _walk(left, right, step, _add_exact)
+    return _walk(left, right, entry, _add_exact)
 
 
 def _mul_terms(left: dict[Word, LaurentQ], right: dict[Word, LaurentQ]) -> dict[Word, LaurentQ]:
-    """Normal form of ``left * right``, walking the right factor's prefix trie.
-
-    The right factor's words are visited in sorted order, so words that share
-    a prefix are adjacent.  The walk holds the states ``(prefix, left *
-    prefix)`` along the current word; a state is extended one generator at a
-    time with the append table, and every shared prefix is multiplied once.
-    The walk runs on packed coefficients; a product that leaves the packing
-    invariant anywhere is walked again on ``LaurentQ`` by ``_fallback``.
-    """
+    """Normal form of ``left * right``: packed, walked with the append table
+    and ``_check_state``, and unpacked, or walked again on ``LaurentQ`` by
+    ``_fallback`` if the product leaves the packing invariant anywhere."""
     try:
-        return _mul_packed(left, right)
+        if max(len(left), len(right)) >= _MAX_TERMS:
+            raise _Unpackable
+        acc = _walk({w: _pack(cf) for w, cf in left.items()}, {v: _pack(cf) for v, cf in right.items()},
+                    _append_gen, _add_scaled, _check_state)
     except _Unpackable:
         return _fallback(left, right)
+    return {w: _unpack(v) for w, v in acc.items()}
 
 
 # Kept, unfilled and delegating, only because the benchmark's tracer reads

@@ -316,6 +316,41 @@ class TestPackedKernel:
         for strategy in ("leftmost", "rightmost"):
             assert ab == agenda_product(2, Element(2, [(word, 1)]), t(2, 1, 1), strategy)
 
+    def test_every_out_of_order_entry_formed_on_laurentq(self, fallbacks, monkeypatch):
+        """With every out-of-order append kept off the table, the walk on
+        LaurentQ forms each such entry over ``rewrite_pair``.  Seeded products
+        at n = 2, 3, 4 equal the packed product and the agenda reducer's
+        under both strategies, and all three rule cases are formed."""
+        tabled = algebra._append_gen
+        seen = set()
+
+        def sorted_only(word, g):
+            if word and word[-1] > g:
+                (a, b), (c, d) = word[-1], g
+                seen.add("same row or column" if a == c or b == d else "b < d" if b < d else "b > d")
+                raise algebra._Unpackable
+            return tabled(word, g)
+
+        rng = random.Random(89)
+        products = fell = 0
+        for n in (2, 3, 4):
+            for _ in range(8):
+                a, b = rand_element(rng, n), rand_element(rng, n)
+                if not (a and b):
+                    continue
+                packed = a * b
+                del fallbacks[:]
+                with monkeypatch.context() as m:
+                    m.setattr(algebra, "_append_gen", sorted_only)
+                    forced = a * b
+                products += 1
+                fell += bool(fallbacks)
+                assert forced == packed
+                for strategy in ("leftmost", "rightmost"):
+                    assert forced == agenda_product(n, a, b, strategy)
+        assert seen == {"same row or column", "b < d", "b > d"}
+        assert products >= 20 and fell > 3 * products // 4
+
     @pytest.mark.parametrize("c, falls_back", [
         (2**20, True), (10**30, True), (Fraction(1, 3), True), (LaurentQ.q_power(100000), False),
         (LaurentQ({0: 1, 100: 1}), True),
