@@ -18,9 +18,12 @@ Every rule preserves the multiset of row labels and of column labels, so the
 algebra is graded by that pair of multisets (the multidegree); all searches
 downstream are confined to finite multidegree components.
 
-A product walks the right factor's words as a prefix trie, extending the
-whole left factor one generator at a time; the append table (a sorted word
-times one generator) is the only rewrite cache.
+Every normal form comes from one routine, ``_mul_terms``.  A product walks
+the right factor's words as a prefix trie, extending the whole left factor
+one generator at a time; a term list, whose words need not be sorted, is the
+right factor of ``1 * terms``.  The append table (a sorted word times one
+generator) is the only rewrite cache.  The agenda reducer ``reduce_terms``
+is kept only as the tests' independent reference.
 
 Inside the walk and in the table a coefficient ``q^e * sum_k c_k q^k`` is
 packed into the pair ``(e, P)``, ``P = sum_k c_k B^k`` with ``B = 2^64``
@@ -41,8 +44,8 @@ or a state or entry that fails the check sends the whole product to
 which reads the table's entries unpacked.  It forms an entry that fails the
 check, for that product alone, as ``word[:-1]`` times the normal form of
 ``word[-1] g`` that ``rewrite_pair`` gives, so the rule is written packed in
-``_append_gen`` and on ``LaurentQ`` in ``rewrite_pair``.  Elements, the API
-and ``reduce_terms`` keep ``LaurentQ``.
+``_append_gen`` and on ``LaurentQ`` in ``rewrite_pair``.  Elements and the
+API keep ``LaurentQ``.
 """
 
 from __future__ import annotations
@@ -326,16 +329,22 @@ def _fallback(left: dict[Word, LaurentQ], right: dict[Word, LaurentQ]) -> dict[W
 
 
 def _mul_terms(left: dict[Word, LaurentQ], right: dict[Word, LaurentQ]) -> dict[Word, LaurentQ]:
-    """Normal form of ``left * right``: packed, walked with the append table
-    and ``_check_state``, and unpacked, or walked again on ``LaurentQ`` by
-    ``_fallback`` if the product leaves the packing invariant anywhere."""
+    """Normal form of ``left * right``, where only ``left``'s words need be
+    sorted: packed, walked with the append table and ``_check_state``, and
+    unpacked, or walked again on ``LaurentQ`` by ``_fallback`` if the product
+    leaves the packing invariant anywhere.  An append recurses once per
+    letter, so a word past Python's recursion limit raises ``DegreeCapError``."""
     try:
-        if max(len(left), len(right)) >= _MAX_TERMS:
-            raise _Unpackable
-        acc = _walk({w: _pack(cf) for w, cf in left.items()}, {v: _pack(cf) for v, cf in right.items()},
-                    _append_gen, _add_scaled, _check_state)
-    except _Unpackable:
-        return _fallback(left, right)
+        try:
+            if max(len(left), len(right)) >= _MAX_TERMS:
+                raise _Unpackable
+            acc = _walk({w: _pack(cf) for w, cf in left.items()}, {v: _pack(cf) for v, cf in right.items()},
+                        _append_gen, _add_scaled, _check_state)
+        except _Unpackable:
+            return _fallback(left, right)
+    except RecursionError:
+        deg = max(map(len, left)) + max(map(len, right))
+        raise DegreeCapError(f"normal-form degree {deg} exceeds the rewrite's recursion depth") from None
     return {w: _unpack(v) for w, v in acc.items()}
 
 
@@ -368,10 +377,9 @@ def reduce_terms(
 
     ``strategy`` picks which out-of-order adjacent pair to reduce first
     (``leftmost`` or ``rightmost``); the result is strategy-independent, which
-    the test suite exercises as confluence evidence.  This reducer is kept
-    independent of the cached multiplication path on purpose, and runs only
-    on lists whose words may be out of order (``Element(n, terms)``,
-    ``normal_form``); products and the transposes keep words sorted.
+    the test suite exercises as confluence evidence.  No library path calls
+    it: it is the tests' reference, independent of ``_mul_terms`` but for
+    ``rewrite_pair``, and never merges equal words on its agenda.
     """
     if strategy not in ("leftmost", "rightmost"):
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -454,19 +462,19 @@ class Element:
     __slots__ = ("n", "_t")
 
     def __init__(self, n: int, terms: Optional[Iterable[tuple[Word, ScalarLike]]] = None):
+        """The normal form of ``terms``, ``(word, coeff)`` pairs with words in
+        any order, each within the degree cap, from ``_mul_terms``."""
         if n < 1:
             raise ValueError("matrix size n must be at least 1")
         self.n = n
-        if terms is None:
-            self._t: dict[Word, LaurentQ] = {}
-            return
-        pending: list[tuple[LaurentQ, Word]] = []
-        for word, cf in terms:
+        acc: dict[Word, LaurentQ] = {}
+        for word, cf in terms or ():
             word = tuple(word)
             for g in word:
                 _validate_gen(n, g)
-            pending.append((LaurentQ.coerce(cf), word))
-        self._t = reduce_terms(pending)
+            _check_cap(len(word))
+            _add_exact(acc, ((word, LaurentQ.coerce(cf)),), ONE)
+        self._t: dict[Word, LaurentQ] = _mul_terms({(): ONE}, acc)
 
     @classmethod
     def _make(cls, n: int, terms: dict[Word, LaurentQ]) -> "Element":
@@ -652,16 +660,10 @@ class Element:
         return f"Element(n={self.n}, {self.render()!r})"
 
 
-def normal_form(n: int, terms: Iterable[tuple[ScalarLike, Iterable[Gen]]], strategy: str = "leftmost") -> Element:
-    """Normal form of an unreduced term list ``[(coeff, word), ...]``."""
-    pending = []
-    for cf, word in terms:
-        word = tuple(word)
-        for g in word:
-            _validate_gen(n, g)
-        _check_cap(len(word))
-        pending.append((LaurentQ.coerce(cf), word))
-    return Element._make(n, reduce_terms(pending, strategy=strategy))
+def normal_form(n: int, terms: Iterable[tuple[ScalarLike, Iterable[Gen]]]) -> Element:
+    """Normal form of an unreduced term list ``[(coeff, word), ...]``, by
+    ``Element(n, terms)`` and so by the product kernel."""
+    return Element(n, ((word, cf) for cf, word in terms))
 
 
 def commutator(a: Element, b: Element) -> Element:

@@ -14,7 +14,7 @@ from functools import lru_cache
 from itertools import permutations
 from typing import Iterable, Optional, Sequence
 
-from .algebra import DegreeCapError, Element, normal_form
+from .algebra import DegreeCapError, Element, _check_cap
 from .scalars import LaurentQ
 
 IndexSet = tuple[int, ...]
@@ -91,17 +91,21 @@ def check_matrix_size(n: int) -> None:
 
 @lru_cache(maxsize=4096)
 def _minor_columns_cached(n: int, rows: tuple, cols: tuple) -> Element:
-    """Every expansion of a minor passes here; one past ``MAX_MINOR_SIZE`` is
-    refused before its permutations are enumerated."""
+    """Every expansion of a minor passes here, after the one check of its
+    labels against ``n``; one past ``MAX_MINOR_SIZE`` is refused before its
+    permutations are enumerated.  The rows increase, so the m! words are
+    sorted and distinct: the sum is already in normal form."""
+    if min(rows + cols) < 1 or max(rows + cols) > n:
+        raise ValueError(f"labels must lie in 1..n for the matrix size n = {n}")
     m = len(rows)
     if m > MAX_MINOR_SIZE:
         raise DegreeCapError(f"a minor of size {m} exceeds the largest expanded size {MAX_MINOR_SIZE}")
-    terms = []
+    _check_cap(m)
+    terms = {}
     for perm in permutations(range(m)):
-        coeff = LaurentQ({inversions(perm): (-1) ** inversions(perm)})
-        word = tuple((rows[i], cols[perm[i]]) for i in range(m))
-        terms.append((coeff, word))
-    return normal_form(n, terms)
+        inv = inversions(perm)
+        terms[tuple((rows[i], cols[perm[i]]) for i in range(m))] = LaurentQ({inv: (-1) ** inv})
+    return Element._make(n, terms)
 
 
 def quantum_minor_columns(n: int, rows: Iterable[int], col_list: Sequence[int]) -> Element:
@@ -127,9 +131,7 @@ def quantum_minor(n: int, rows: Iterable[int], cols: Iterable[int]) -> Element:
 
 
 def minor_element(n: int, minor: MinorId) -> Element:
-    """The expanded minor: the one check of its labels against ``n`` (``MinorId`` checks the rest)."""
-    if minor.rows[-1] > n or minor.cols[-1] > n:
-        raise ValueError(f"labels exceed the matrix size n = {n}")
+    """The expanded minor (``MinorId`` checks its labels, but not against ``n``)."""
     return _minor_columns_cached(n, minor.rows, minor.cols)
 
 

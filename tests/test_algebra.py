@@ -39,9 +39,15 @@ def mapped_word(n, name, w):
     return tuple((n + 1 - j, n + 1 - i) for i, j in reversed(w))
 
 
+def reference(n, terms, strategy="leftmost"):
+    """The normal form of ``[(coeff, word), ...]`` by the agenda reducer, the
+    tests' reference, which no library path calls."""
+    return Element._make(n, reduce_terms([(LaurentQ.coerce(c), tuple(w)) for c, w in terms], strategy))
+
+
 def agenda_product(n, a, b, strategy="leftmost"):
     """``a * b`` by the agenda reducer over the pairwise concatenations."""
-    return normal_form(n, [(ca * cb, u + v) for u, ca in a.terms() for v, cb in b.terms()], strategy)
+    return reference(n, [(ca * cb, u + v) for u, ca in a.terms() for v, cb in b.terms()], strategy)
 
 
 def rand_element(rng, n, max_len=3, n_terms=3):
@@ -110,7 +116,7 @@ class TestNormalForm:
             u = tuple(sorted(rand_word(rng, 3, 3)))
             v = tuple(sorted(rand_word(rng, 3, 3)))
             via_mul = Element(3, [(u, 1)]) * Element(3, [(v, 1)])
-            via_agenda = normal_form(3, [(1, u + v)])
+            via_agenda = reference(3, [(1, u + v)])
             assert via_mul == via_agenda
 
     def test_prefix_trie_product_matches_agenda(self):
@@ -144,7 +150,7 @@ class TestNormalForm:
             for strategy in ("leftmost", "rightmost"):
                 assert a * b == agenda_product(n, a, b, strategy)
             for (u, _), (v, _) in product(a.terms(), b.terms()):
-                assert dict(_word_mul(u, v)) == dict(normal_form(n, [(1, u + v)]).terms())
+                assert dict(_word_mul(u, v)) == reduce_terms([(ONE, u + v)])
 
     def test_associativity_random(self):
         rng = random.Random(5)
@@ -274,9 +280,10 @@ class TestPackedKernel:
         """In ``t22^8 t11^8`` at n = 2 the coefficient of ``t12^8 t21^8``
         spans 73 digits (q^-64 to q^8), so the last state leaves the
         invariant.  The walk on LaurentQ reads the same table and takes
-        milliseconds (the agenda reducer takes over a minute on this
-        product).  The result matches the product formed one generator at a
-        time and, at q = 1, the commutative product."""
+        milliseconds, on the product and on the same product written as one
+        word (the agenda reducer takes over a minute on that word).  The
+        result matches the product formed one generator at a time and, at
+        q = 1, the commutative product."""
         started = time.perf_counter()
         ab = t(2, 2, 2) ** 8 * t(2, 1, 1) ** 8
         assert time.perf_counter() - started < 2.0
@@ -290,6 +297,10 @@ class TestPackedKernel:
         assert len(ab.terms()) == 9
         for w, cf in ab.terms():
             assert cf.specialize(1) == (1 if w == ((1, 1),) * 8 + ((2, 2),) * 8 else 0)
+        word = ((2, 2),) * 8 + ((1, 1),) * 8
+        started = time.perf_counter()
+        assert normal_form(2, [(1, word)]) == Element(2, [(word, 1)]) == ab
+        assert time.perf_counter() - started < 2.0
 
     @pytest.mark.parametrize("n, rows, cols", [(2, (1, 2), (1, 2)), (3, (1, 2), (2, 3)), (3, (2, 3), (1, 2))])
     def test_minor_powers_stay_packed(self, fallbacks, n, rows, cols):
@@ -351,10 +362,35 @@ class TestPackedKernel:
         assert seen == {"same row or column", "b < d", "b > d"}
         assert products >= 20 and fell > 3 * products // 4
 
-    @pytest.mark.parametrize("c, falls_back", [
+    SCALARS = pytest.mark.parametrize("c, falls_back", [
         (2**20, True), (10**30, True), (Fraction(1, 3), True), (LaurentQ.q_power(100000), False),
         (LaurentQ({0: 1, 100: 1}), True),
     ], ids=["2^20", "10^30", "1/3", "q^100000", "1+q^100"])
+
+    @SCALARS
+    def test_unsorted_term_lists_equal_the_reducer(self, fallbacks, c, falls_back):
+        """Seeded unsorted term lists at n = 2, 3, 4, every coefficient a
+        multiple of ``c``, with repeated words and terms that cancel as written
+        and after rewriting: the kernel's normal form equals the agenda
+        reducer's under both strategies, on the walk that ``c`` selects."""
+        c = LaurentQ.coerce(c)
+        rng = random.Random(97)
+        for n in (2, 3, 4):
+            for _ in range(6):
+                words = [rand_word(rng, n, 5) for _ in range(4)]
+                terms = [(c * LaurentQ({rng.randint(-2, 2): rng.choice((-2, -1, 1, 3))}), w) for w in words]
+                terms += [(c, words[0]), (c, words[1]), (-c, words[1])]
+                # t12 t11 = q^-1 t11 t12, so these two cancel only once rewritten
+                terms += [(c, ((1, 2), (1, 1))), (-c * QINV, ((1, 1), (1, 2)))]
+                rng.shuffle(terms)
+                del fallbacks[:]
+                nf = normal_form(n, terms)
+                assert bool(fallbacks) == falls_back
+                assert Element(n, [(w, cf) for cf, w in terms]) == nf
+                for strategy in ("leftmost", "rightmost"):
+                    assert nf == reference(n, terms, strategy)
+
+    @SCALARS
     def test_linearity_across_the_two_paths(self, fallbacks, c, falls_back):
         """``(c a) b == c (a b)`` and ``a (b c) == (a b) c``: a product with the
         scaled factor takes the fallback whenever ``c`` leaves the invariant (a
@@ -482,7 +518,7 @@ class TestTranspose:
             for w in combinations_with_replacement(letters, length):
                 image = mapped_word(n, name, w)
                 expected = [(tuple(sorted(image)), ONE)]
-                assert normal_form(n, [(1, image)]).terms() == expected
+                assert reference(n, [(1, image)]).terms() == expected
                 assert getattr(Element(n, [(w, 1)]), name)().terms() == expected
 
     @pytest.mark.parametrize("n", [3, 4])
@@ -494,7 +530,7 @@ class TestTranspose:
             gs = [(rng.randint(1, n), rng.randint(1, n)) for _ in range(4)]
             words = [(g,) + rand_word(rng, n, 3) + (g,) for g in gs]
             x = normal_form(n, [(LaurentQ({rng.randint(-2, 2): rng.randint(1, 3)}), w) for w in words])
-            assert getattr(x, name)() == normal_form(n, [(c, mapped_word(n, name, w)) for w, c in x.terms()])
+            assert getattr(x, name)() == reference(n, [(c, mapped_word(n, name, w)) for w, c in x.terms()])
 
     def test_involutions(self):
         rng = random.Random(47)
@@ -656,16 +692,38 @@ class TestLeadingWords:
 
 
 class TestDegreeCap:
+    WORD = ((2, 2), (1, 2), (1, 1), (2, 1))  # unsorted, of degree 4
+
     def test_cap_enforced(self, monkeypatch):
         monkeypatch.setenv("QMB_MAX_DEGREE", "3")
         a = Element(2, [(((1, 1),) * 2, 1)])
         with pytest.raises(DegreeCapError):
             a * a
+        # term lists share one check, in Element(n, terms) and normal_form alike
+        with pytest.raises(DegreeCapError):
+            Element(2, [(self.WORD, 1)])
+        with pytest.raises(DegreeCapError):
+            normal_form(2, [(1, self.WORD[:1]), (1, self.WORD)])
 
     def test_cap_allows_boundary(self, monkeypatch):
         monkeypatch.setenv("QMB_MAX_DEGREE", "4")
         a = Element(2, [(((1, 1),) * 2, 1)])
         assert not (a * a).is_zero()
+        product = t(2, 2, 2) * t(2, 1, 2) * t(2, 1, 1) * t(2, 2, 1)
+        assert Element(2, [(self.WORD, 1)]) == normal_form(2, [(1, self.WORD)]) == product
+
+    @pytest.mark.parametrize("c", [ONE, LaurentQ(Fraction(1, 3))], ids=["packed", "fallback"])
+    def test_a_word_past_the_recursion_limit_hits_the_cap(self, monkeypatch, fallbacks, c):
+        """An append recurses once per letter, so with the cap raised a
+        1,020-letter word times ``t11`` is refused as ``DegreeCapError`` on
+        either walk, and the append table serves the next product."""
+        monkeypatch.setenv("QMB_MAX_DEGREE", "10000")
+        word = ((1, 2),) * 340 + ((2, 1),) * 340 + ((2, 2),) * 340
+        with pytest.raises(DegreeCapError, match="recursion depth"):
+            Element._make(2, {word: c}) * t(2, 1, 1)
+        assert bool(fallbacks) == (c != ONE)
+        short = ((1, 2),) * 10 + ((2, 1),) * 10 + ((2, 2),) * 10
+        assert Element._make(2, {short: c}) * t(2, 1, 1) == reference(2, [(c, short + ((1, 1),))])
 
 
 class TestDegenerateSize:

@@ -107,6 +107,14 @@ class TestNf:
         code, _, err = run(capsys, "nf", "--n", "2", "t[1,1]*t[1,1]*t[1,1]")
         assert code == EXIT_DEGREE_CAP
 
+    def test_a_word_past_the_recursion_limit_exits_on_the_cap(self, capsys, monkeypatch):
+        # appending t[1,1] to 1,020 sorted letters recurses once per letter;
+        # the kernel refuses it as past the cap, not as a nesting error
+        monkeypatch.setenv("QMB_MAX_DEGREE", "10000")
+        code, out, err = run(capsys, "nf", "--n", "2", "t[1,2]^340 t[2,1]^340 t[2,2]^340 t[1,1]")
+        assert code == EXIT_DEGREE_CAP
+        assert out == "" and "recursion depth" in err and err.count("\n") == 1
+
     @pytest.mark.parametrize("text", ["2^1000000000", "(1+q)^2000", "(1+q)^8000", "t[1,1]^17",
                                       "((((1+q)^16)^16)^16)^16", "(((2^16)^16)^16)^16"])
     def test_exponent_over_the_cap_exits_before_the_power(self, capsys, text):

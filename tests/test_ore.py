@@ -10,7 +10,7 @@ from itertools import combinations
 
 import pytest
 
-from qmb import algebra, clear_caches, minors, ore
+from qmb import algebra, clear_caches, identities, minors, ore
 from qmb.algebra import Element, MultiDegree, basis_monomials
 from qmb.exprparse import parse_element
 from qmb.minors import MinorId, minor_element, quantum_minor
@@ -516,26 +516,44 @@ class TestTransposeDuality:
         assert (lhs.scale(w.scale) - rhs).is_zero()
 
 
+@pytest.fixture
+def no_reducer(monkeypatch):
+    """Cold caches, and every call of the agenda reducer fails: no library
+    path may reach it."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the agenda reducer was called")
+
+    clear_caches()
+    monkeypatch.setattr(algebra, "reduce_terms", refuse)
+
+
 class TestReducedInput:
-    def test_witnesses_need_no_reducer_once_the_minors_are_expanded(self, monkeypatch):
-        """Products and the antitranspose keep words sorted, so after the
-        minors' expansions no unreduced word is left to rewrite."""
+    def test_witnesses_need_no_reducer_once_the_minors_are_expanded(self, no_reducer):
+        """Minors are expanded in normal form, and products and the
+        antitranspose keep words sorted: with the reducer refused from the
+        start, both witnesses certify."""
         n = 3
         gap, outside = MinorId((1, 3), (1, 3)), MinorId((1, 2), (1, 2))
-        clear_caches()
-        for minor in (gap, outside):
-            minor_element(n, minor)
-            minor_element(n, minor.antitranspose(n))
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("reduce_terms called after the minors were expanded")
-
-        monkeypatch.setattr(algebra, "reduce_terms", refuse)
         left = solve_witness(n, gap, gen(n, 2, 2), LEFT)  # t[2,2] sits in a gap of both sets
         right = witness_generator_constructive(n, outside, 3, 3, RIGHT)  # t[3,3] is outside both sets
         for w, minor, side in ((left, gap, LEFT), (right, outside, RIGHT)):
             assert w.certified and (w.minor, w.side) == (minor, side)
             assert w.residual().is_zero()
+
+    def test_no_library_path_calls_the_reducer(self, no_reducer):
+        """The identity sweep, a witness for each route and side, and term
+        lists with unsorted words all run on the product kernel alone."""
+        n = 3
+        assert identities.run_suite(n_max=3, size_cap=2).all_verified()
+        minor = MinorId((1, 3), (1, 2))
+        for strategy in ("solver", "constructive"):
+            for side in SIDES:
+                w = witness_for_element(n, minor, gen(n, 2, 2), side, strategy)
+                assert w.certified and w.residual().is_zero()
+        w = ((3, 3), (2, 1), (1, 1))
+        expected = gen(n, 3, 3) * gen(n, 2, 1) * gen(n, 1, 1)
+        assert Element(n, [(w, 1)]) == algebra.normal_form(n, [(1, w)]) == expected
 
 
 class TestChains:
