@@ -21,8 +21,9 @@ downstream are confined to finite multidegree components.
 Every normal form comes from one routine, ``_mul_terms``.  A product walks
 the right factor's words as a prefix trie, extending the whole left factor
 one generator at a time; a term list, whose words need not be sorted, is the
-right factor of ``1 * terms``.  The append table (a sorted word times one
-generator) is the only rewrite cache.  The agenda reducer ``reduce_terms``
+right factor of ``1 * terms``.  The append table (a sorted word times a
+generator below its last letter; a sorted append is a concatenation, formed
+on demand) is the only rewrite cache.  The agenda reducer ``reduce_terms``
 is kept only as the tests' independent reference.
 
 Inside the walk and in the table a coefficient ``q^e * sum_k c_k q^k`` is
@@ -185,26 +186,24 @@ _P_ONE: Packed = (0, 1)
 _QINV_MINUS_Q = 1 - (1 << 128)  # q^-1 - q is (-1, _QINV_MINUS_Q)
 _MINUS_QMQI = -Q_MINUS_QINV
 
-# (sorted word, appended generator) -> tuple of (sorted word, packed coefficient)
+# (sorted word, generator below its last letter) -> tuple of (sorted word, packed coefficient)
 _APPEND_CACHE: dict[tuple[Word, Gen], tuple[tuple[Word, Packed], ...]] = {}
 
 
 def _append_gen(word: Word, g: Gen) -> tuple[tuple[Word, Packed], ...]:
     """Normal form of (sorted word) * (generator), as sorted words with packed coefficients.
 
-    Every letter of every output word is bounded by max(word letters, g), so
-    appending a letter that dominates the input stays sorted; the recursion
-    below relies on this.  An entry outside the packing invariant raises
-    ``_Unpackable`` and is not stored.
+    A sorted append is the concatenation, formed on demand; only ``word[-1] > g``
+    is tabled.  Every output letter is at most max(word letters, g), so appending
+    a dominating letter stays sorted; the recursion below relies on this.  An
+    entry outside the packing invariant raises ``_Unpackable`` and is not stored.
     """
+    if not word or word[-1] <= g:
+        return ((word + (g,), _P_ONE),)
     key = (word, g)
     hit = _APPEND_CACHE.get(key)
     if hit is not None:
         return hit
-    if not word or word[-1] <= g:
-        out: tuple[tuple[Word, Packed], ...] = ((word + (g,), _P_ONE),)
-        _APPEND_CACHE[key] = out
-        return out
     x = word[-1]
     p = word[:-1]
     a, b = x

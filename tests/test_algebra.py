@@ -7,7 +7,7 @@ from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 
-from qmb import algebra, identities
+from qmb import algebra, clear_caches, identities
 from qmb.algebra import (
     ContextMismatchError,
     DegreeCapError,
@@ -20,7 +20,8 @@ from qmb.algebra import (
     normal_form,
     reduce_terms,
 )
-from qmb.minors import quantum_minor
+from qmb.minors import MinorId, quantum_minor
+from qmb.ore import LEFT, witness_generator_constructive
 from qmb.scalars import ONE, Q, QINV, Q_MINUS_QINV, LaurentQ
 
 
@@ -446,6 +447,28 @@ class TestPackedKernel:
         for (word, g), entry in rng.sample(sorted(algebra._APPEND_CACHE.items()), 300):
             expected = reduce_terms([(ONE, word + (g,))])
             assert {w: algebra._unpack(v) for w, v in entry} == expected
+
+    def test_the_table_holds_only_out_of_order_appends(self):
+        """From cold caches, the n = 3 sweep and an n = 4 constructive witness
+        fill the table, and every key ``(word, g)`` has ``word[-1] > g``: an
+        append that stays sorted is a concatenation and is never stored."""
+        clear_caches()
+        assert identities.run_suite(n_max=3).all_verified()
+        assert witness_generator_constructive(4, MinorId((1, 3), (2, 4)), 2, 3, LEFT).certified
+        assert algebra._APPEND_CACHE
+        assert all(word and word[-1] > g for word, g in algebra._APPEND_CACHE)
+
+    def test_a_sorted_append_is_the_concatenation_and_is_not_stored(self):
+        """A sorted append, onto the empty word too, returns the concatenation
+        with coefficient 1 = (0, 1) and leaves the table as it was."""
+        clear_caches()
+        t(2, 2, 2) * t(2, 1, 1)  # an out-of-order append, so the table is not empty
+        size = len(algebra._APPEND_CACHE)
+        assert size
+        for word, g in [((), (1, 1)), ((), (3, 3)), (((1, 1), (2, 2)), (2, 2)), (((1, 2),) * 3, (2, 1)),
+                        (((1, 1), (2, 1)), (3, 3))]:
+            assert algebra._append_gen(word, g) == ((word + (g,), (0, 1)),)
+        assert len(algebra._APPEND_CACHE) == size
 
 
 class TestMultiDegree:
