@@ -21,10 +21,13 @@ downstream are confined to finite multidegree components.
 Every normal form comes from one routine, ``_mul_terms``.  A product walks
 the right factor's words as a prefix trie, extending the whole left factor
 one generator at a time; a term list, whose words need not be sorted, is the
-right factor of ``1 * terms``.  The append table (a sorted word times a
-generator below its last letter; a sorted append is a concatenation, formed
-on demand) is the only rewrite cache.  The agenda reducer ``reduce_terms``
-is kept only as the tests' independent reference.
+right factor of ``1 * terms``.  The walk splits each state word before its
+first letter above the generator: the letters before never move (README
+lemma 5), so they are put back in front of the normal form of the rest times
+the generator.  That normal form, for a non-empty rest, comes from the
+append table, keyed by the rest, every letter of which is above the
+generator; the table is the only rewrite cache.  The agenda reducer
+``reduce_terms`` is kept only as the tests' independent reference.
 
 Inside the walk and in the table a coefficient ``q^e * sum_k c_k q^k`` is
 packed into the pair ``(e, P)``, ``P = sum_k c_k B^k`` with ``B = 2^64``
@@ -54,6 +57,7 @@ from __future__ import annotations
 import math
 import os
 import sys
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Union
@@ -186,17 +190,22 @@ _P_ONE: Packed = (0, 1)
 _QINV_MINUS_Q = 1 - (1 << 128)  # q^-1 - q is (-1, _QINV_MINUS_Q)
 _MINUS_QMQI = -Q_MINUS_QINV
 
-# (sorted word, generator below its last letter) -> tuple of (sorted word, packed coefficient)
+# (sorted word whose every letter is above the generator, generator) -> tuple of (sorted word, packed coefficient)
 _APPEND_CACHE: dict[tuple[Word, Gen], tuple[tuple[Word, Packed], ...]] = {}
 
 
 def _append_gen(word: Word, g: Gen) -> tuple[tuple[Word, Packed], ...]:
     """Normal form of (sorted word) * (generator), as sorted words with packed coefficients.
 
-    A sorted append is the concatenation, formed on demand; only ``word[-1] > g``
-    is tabled.  Every output letter is at most max(word letters, g), so appending
-    a dominating letter stays sorted; the recursion below relies on this.  An
-    entry outside the packing invariant raises ``_Unpackable`` and is not stored.
+    A sorted append is the concatenation, formed on demand.  Every other call
+    has every letter of ``word`` above ``g``: ``_walk`` passes only the suffix
+    of a state word past ``bisect_right(word, g)`` and puts the prefix, whose
+    letters never move (README lemma 5), back in front.  So no key holds a
+    letter at most its generator.  Every output letter is at most max(word
+    letters, g), so appending a dominating letter stays sorted; the recursion
+    below relies on this.  Its correction term ``p t[c,b] t[a,d]`` is walked,
+    so its prefixes are split too.  An entry outside the packing invariant
+    raises ``_Unpackable`` and is not stored.
     """
     if not word or word[-1] <= g:
         return ((word + (g,), _P_ONE),)
@@ -214,25 +223,21 @@ def _append_gen(word: Word, g: Gen) -> tuple[tuple[Word, Packed], ...]:
         out = tuple((w + (x,), cf) for w, cf in _append_gen(p, g))
     else:
         acc: dict[Word, Packed] = {w + (x,): cf for w, cf in _append_gen(p, g)}
-        lower = _append_gen(p, (c, b))
-        if len(lower) + 1 >= _MAX_TERMS:  # the first part adds one more term per word
-            raise _Unpackable
-        for w1, (e1, p1) in lower:
-            scaled = (e1 - 1, p1 * _QINV_MINUS_Q)
-            _check((scaled,))
-            _add_scaled(acc, _append_gen(w1, (a, d)), scaled)
+        lower = _walk({p: _P_ONE}, {((c, b), (a, d)): (-1, _QINV_MINUS_Q)}, _append_gen, _add_scaled, _check_state)
+        _add_scaled(acc, lower.items(), _P_ONE)
         _check(acc.values())
         out = tuple(sorted((w, _shared(v)) for w, v in acc.items()))
     _APPEND_CACHE[key] = out
     return out
 
 
-def _add_scaled(acc: dict[Word, Packed], terms: Iterable[tuple[Word, Packed]], c: Packed) -> None:
-    """``acc += c * terms`` on packed values, dropping words whose coefficient
+def _add_scaled(acc: dict[Word, Packed], terms: Iterable[tuple[Word, Packed]], c: Packed, pre: Word = ()) -> None:
+    """``acc += c * pre * terms`` on packed values, dropping words whose coefficient
     cancels; a sum whose lowest digit cancels drops its zero low digits, and
     a sum of values whose exponents lie 64 or more apart is not formed."""
     ce, cp = c
     for w, (e, p) in terms:
+        w = pre + w
         e += ce
         p *= cp
         s = acc.get(w)
@@ -258,9 +263,10 @@ def _add_scaled(acc: dict[Word, Packed], terms: Iterable[tuple[Word, Packed]], c
             raise _Unpackable
 
 
-def _add_exact(acc: dict[Word, LaurentQ], terms: Iterable[tuple[Word, LaurentQ]], c: LaurentQ) -> None:
-    """``acc += c * terms`` on ``LaurentQ``, dropping words whose coefficient cancels."""
+def _add_exact(acc: dict[Word, LaurentQ], terms: Iterable[tuple[Word, LaurentQ]], c: LaurentQ, pre: Word = ()) -> None:
+    """``acc += c * pre * terms`` on ``LaurentQ``, dropping words whose coefficient cancels."""
     for w, cf in terms:
+        w = pre + w
         s = acc.get(w)
         s = c * cf if s is None else s + c * cf
         if s.is_zero():
@@ -279,8 +285,10 @@ def _check_state(state: dict[Word, Packed]) -> None:
 def _walk(left: dict, right: dict, entry, add, check=None) -> dict:
     """``left * right`` by the right factor's prefix trie, in either
     arithmetic: ``entry(w, g)`` is the append entry of ``(w, g)`` and
-    ``add(acc, terms, c)`` is ``acc += c * terms``.  ``check``, if given, is
-    called on every state formed.
+    ``add(acc, terms, c, pre)`` is ``acc += c * pre * terms``.  ``check``, if
+    given, is called on every state formed.  A state word ``w`` is split at
+    ``k = bisect_right(w, g)``: ``w[:k]`` never moves (README lemma 5), so the
+    entry read is that of the suffix ``w[k:]``, empty when ``w g`` is sorted.
 
     The right factor's words are visited in sorted order, so words that share
     a prefix are adjacent.  The walk holds the states ``(prefix, left *
@@ -296,7 +304,8 @@ def _walk(left: dict, right: dict, entry, add, check=None) -> dict:
         for g in v[len(prefix) :]:
             nxt: dict = {}
             for w, cf in state.items():
-                add(nxt, entry(w, g), cf)
+                k = bisect_right(w, g)
+                add(nxt, entry(w[k:], g), cf, w[:k])
             if check:
                 check(nxt)
             prefix, state = prefix + (g,), nxt
@@ -332,7 +341,8 @@ def _mul_terms(left: dict[Word, LaurentQ], right: dict[Word, LaurentQ]) -> dict[
     sorted: packed, walked with the append table and ``_check_state``, and
     unpacked, or walked again on ``LaurentQ`` by ``_fallback`` if the product
     leaves the packing invariant anywhere.  An append recurses once per
-    letter, so a word past Python's recursion limit raises ``DegreeCapError``."""
+    letter of the suffix it is given, the letters above the generator, so a
+    suffix past Python's recursion limit raises ``DegreeCapError``."""
     try:
         try:
             if max(len(left), len(right)) >= _MAX_TERMS:

@@ -286,6 +286,12 @@ def check_E0_membership(
     both of those generators are again subalgebra generators.  The residual is the sum of the offending
     leaf contributions, so the check verifies exactly when every leaf
     certifies (or the offenders cancel).
+
+    The expansion is not replayed against :func:`commutator` here: both sides
+    would come from the same product kernel, so the replay would check the
+    kernel against itself.  The tests check that the expansion, summed by the
+    independent agenda reducer ``reduce_terms``, equals the kernel's
+    commutator for every check of the n <= 3 sweep.
     """
     K, L = tuple(K), tuple(sorted(L))
     kp, lp = outside
@@ -303,10 +309,7 @@ def check_E0_membership(
 
     leaves = []
     obstruction = Element.zero(n)
-    replay = Element.zero(n)
     for w, i, (c, word) in commutator_terms(tp, e_terms):
-        contribution = Element(n, [(word, c)])
-        replay = replay + contribution
         # the pair is proportional to t[kp, g.col] t[g.row, lp]
         g = w[i]
         f1, f2 = (kp, g[1]), (g[0], lp)
@@ -321,11 +324,7 @@ def check_E0_membership(
             }
         )
         if not ok:
-            obstruction = obstruction + contribution
-
-    # internal soundness: the expansion reproduces the commutator exactly
-    if replay != commutator(tp, Element(n, [(w, coeff) for coeff, w in e_terms])):
-        raise AssertionError("commutator expansion does not replay to the direct commutator")
+            obstruction = obstruction + Element(n, [(word, c)])
 
     status = VERIFIED if obstruction.is_zero() else FAILED
     return CheckResult(

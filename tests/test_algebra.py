@@ -2,6 +2,7 @@
 
 import random
 import time
+from bisect import bisect_right
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 
@@ -457,6 +458,54 @@ class TestPackedKernel:
         assert witness_generator_constructive(4, MinorId((1, 3), (2, 4)), 2, 3, LEFT).certified
         assert algebra._APPEND_CACHE
         assert all(word and word[-1] > g for word, g in algebra._APPEND_CACHE)
+
+    def test_no_key_holds_a_letter_at_most_its_generator(self):
+        """README lemma 5: the walk reads the entry of the suffix past the
+        letters at most ``g``, so after the n = 3 sweep and an n = 4
+        constructive witness, from cold caches, every key ``(word, g)`` has
+        ``word[0] > g``."""
+        clear_caches()
+        assert identities.run_suite(n_max=3).all_verified()
+        assert witness_generator_constructive(4, MinorId((1, 3), (2, 4)), 2, 3, LEFT).certified
+        assert algebra._APPEND_CACHE
+        assert all(word and word[0] > g for word, g in algebra._APPEND_CACHE)
+
+    @pytest.mark.parametrize("c, falls_back", [(LaurentQ({-1: 2, 3: -1}), False), (Fraction(1, 3), True)],
+                             ids=["packed", "1/3"])
+    def test_a_prefixed_append_equals_the_reducer(self, fallbacks, c, falls_back):
+        """Seeded sorted words at n = 2, 3, 4 with a non-empty prefix of
+        letters at most ``g`` and a letter above it: the kernel's ``c * word *
+        g`` equals the agenda reducer's, on the packed walk or, for a rational
+        ``c``, on ``_fallback``, and the table gains no key with a prefix."""
+        clear_caches()
+        rng = random.Random(101)
+        checked = 0
+        for n in (2, 3, 4):
+            while checked < 12 * (n - 1):
+                word = tuple(sorted(rand_word(rng, n, 6)))
+                g = (rng.randint(1, n), rng.randint(1, n))
+                if not 0 < bisect_right(word, g) < len(word):
+                    continue
+                del fallbacks[:]
+                got = Element(n, [(word, c)]) * t(n, *g)
+                assert bool(fallbacks) == falls_back
+                assert got == reference(n, [(c, word + (g,))])
+                checked += 1
+        assert all(word[0] > g for word, g in algebra._APPEND_CACHE)
+
+    def test_a_prefix_rides_on_an_entry_past_the_bound(self, fallbacks, monkeypatch):
+        """The entry of ``t12^32 t21^32 t22^32`` and ``t11`` leaves the
+        invariant; with the prefix ``t11`` in front, ``_Unpackable`` comes from
+        the suffix, the walk on LaurentQ forms the entry, and the product is
+        ``t11`` times the product without the prefix."""
+        monkeypatch.setenv("QMB_MAX_DEGREE", "100")
+        word = ((1, 2),) * 32 + ((2, 1),) * 32 + ((2, 2),) * 32
+        bare = Element(2, [(word, 1)]) * t(2, 1, 1)
+        del fallbacks[:]
+        prefixed = Element(2, [(((1, 1),) + word, 1)]) * t(2, 1, 1)
+        assert len(fallbacks) == 1
+        assert prefixed == t(2, 1, 1) * bare
+        assert prefixed.terms() == [(((1, 1),) + w, cf) for w, cf in bare.terms()]
 
     def test_a_sorted_append_is_the_concatenation_and_is_not_stored(self):
         """A sorted append, onto the empty word too, returns the concatenation

@@ -289,6 +289,27 @@ def test_commutator_terms_sum_to_the_commutator():
     assert total == commutator(t, Element(n, [(w, c) for c, w in terms]))
 
 
+def test_every_sweep_expansion_sums_to_the_commutator(monkeypatch):
+    """For every E0 membership check of the n <= 3 sweep, the expansion that
+    ``check_E0_membership`` certifies, summed by the agenda reducer, equals
+    the product kernel's commutator: an independent cross-check of both."""
+    calls = []
+    check = identities.check_E0_membership
+
+    def record(n, K, L, outside, e_terms):
+        calls.append((n, outside, list(e_terms)))
+        return check(n, K, L, outside, calls[-1][2])
+
+    monkeypatch.setattr(identities, "check_E0_membership", record)
+    assert run_suite(n_max=3).all_verified()
+    assert len(calls) > 100
+    for n, outside, e_terms in calls:
+        t = Element.generator(n, *outside)
+        expansion = commutator_terms(t, e_terms)
+        total = Element._make(n, reduce_terms([(c, word) for _, _, (c, word) in expansion]))
+        assert total == commutator(t, Element(n, [(w, c) for c, w in e_terms]))
+
+
 class TestMembership:
     def test_single_inner_letter(self):
         res = check_E0_membership(3, (1,), (2,), (3, 3), [(ONE, ((1, 2),))])
