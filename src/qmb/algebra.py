@@ -223,8 +223,8 @@ def _append_gen(word: Word, g: Gen) -> tuple[tuple[Word, Packed], ...]:
         out = tuple((w + (x,), cf) for w, cf in _append_gen(p, g))
     else:
         acc: dict[Word, Packed] = {w + (x,): cf for w, cf in _append_gen(p, g)}
-        lower = _walk({p: _P_ONE}, {((c, b), (a, d)): (-1, _QINV_MINUS_Q)}, _append_gen, _add_scaled, _check_state)
-        _add_scaled(acc, lower.items(), _P_ONE)
+        corr = _walk({p: _P_ONE}, {((c, b), (a, d)): (-1, _QINV_MINUS_Q)}, _append_gen, _add_scaled, _check_state)
+        _add_scaled(acc, corr.items(), _P_ONE)
         _check(acc.values())
         out = tuple(sorted((w, _shared(v)) for w, v in acc.items()))
     _APPEND_CACHE[key] = out
