@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 
-from .algebra import DegreeCapError, Element, _read_int
+from .algebra import DegreeCapError, Element, _read_int, commutator
 from .exprparse import ExprSyntaxError, parse_element
 from .identities import (
     NOT_APPLICABLE,
@@ -106,7 +106,7 @@ def _cmd_minor(args) -> int:
 def _cmd_commutator(args) -> int:
     a = parse_element(args.left, args.n)
     b = parse_element(args.right, args.n)
-    return _emit_element(args, "commutator", a * b - b * a)
+    return _emit_element(args, "commutator", commutator(a, b))
 
 
 def _cmd_identity(args) -> int:

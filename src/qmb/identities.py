@@ -16,8 +16,8 @@ The resolved conventions the sweep discovers, for reference:
   above the range of its set, ``+1`` when below;
 * minors with a single interchanged column label: exponent ``+1`` exactly
   when the removed label is smaller than the added one (the sweep forms the
-  two products of each such pair once, and :func:`check_muir_pair` measures
-  both orderings from them);
+  two products of each such pair once, :func:`check_muir_pair` reads the
+  exponent from them once, and the reversed pair's is its negation);
 * the single-gap identity holds with the correction factors ordered
   generator first: ``D t - q^-1 t D = (1-q^-2) t[k,l_1] D'``;
 * the general-gap identity holds with the correction row equal to the row
@@ -129,8 +129,8 @@ def check_qcommutation(n: int, K: Sequence[int], L: Sequence[int], k: int, l: in
 
 
 def check_muir_pair(n: int, K: Sequence[int], L: Sequence[int], Lprime: Sequence[int]) -> tuple[CheckResult, CheckResult]:
-    """The Muir checks of ``(L, L')`` and of ``(L', L)``, each measured from
-    the two products ``D_L D_L'`` and ``D_L' D_L``, which are formed once."""
+    """The Muir checks of ``(L, L')`` and of ``(L', L)`` from the products ``D_L D_L'`` and ``D_L' D_L``,
+    formed once; the exponent is read once, and the reversed one is its negation."""
     K, L, Lp = tuple(K), tuple(sorted(L)), tuple(sorted(Lprime))
     if len(set(L) ^ set(Lp)) > 2:
         return (CheckResult("muir", _cfg(n, K, L, Lprime=list(Lp)), NOT_APPLICABLE),
@@ -138,18 +138,18 @@ def check_muir_pair(n: int, K: Sequence[int], L: Sequence[int], Lprime: Sequence
     DL = quantum_minor(n, K, L)
     DLp = quantum_minor(n, K, Lp)
     ab, ba = DL * DLp, DLp * DL
-    return _muir_result(n, K, L, Lp, ab, ba), _muir_result(n, K, Lp, L, ba, ab)
+    r = None if L == Lp else qcommutation_exponent(ab, ba)
+    return _muir_result(n, K, L, Lp, ab, ba, r), _muir_result(n, K, Lp, L, ba, ab, None if r is None else -r)
 
 
-def _muir_result(n: int, K: tuple, L: tuple, Lp: tuple, ab: Element, ba: Element) -> CheckResult:
-    """The Muir check of ``(L, L')`` read from ``ab = D_L D_L'`` and ``ba = D_L' D_L``."""
+def _muir_result(n: int, K: tuple, L: tuple, Lp: tuple, ab: Element, ba: Element, r: Optional[int]) -> CheckResult:
+    """The Muir check of ``(L, L')`` from ``ab = D_L D_L'``, ``ba = D_L' D_L`` and ``r`` (``ab = q^r ba``, or None)."""
     cfg = _cfg(n, K, L, Lprime=list(Lp))
     if L == Lp:
         residual = ab - ba
         conv = {"exponent": 0, "geometry": "identical"}
         return CheckResult("muir", cfg, VERIFIED if residual.is_zero() else FAILED, residual, conv)
     ((removed,), (added,)) = set(L) - set(Lp), set(Lp) - set(L)
-    r = qcommutation_exponent(ab, ba)
     geometry = "removed<added" if removed < added else "removed>added"
     if r in (1, -1):
         return CheckResult("muir", cfg, VERIFIED, Element.zero(n), {"geometry": geometry, "exponent": r})

@@ -164,19 +164,16 @@ def qcommutation_probe(a: Element, b: Element) -> Optional[int]:
 
 def qcommutation_exponent(ab: Element, ba: Element) -> Optional[int]:
     """The unique integer r with ``ab = q^r ba`` for two formed products
-    ``ab`` and ``ba`` of nonzero homogeneous elements, or None."""
-    terms_ab = ab.terms()
-    terms_ba = ba.terms()
-    if len(terms_ab) != len(terms_ba):
+    ``ab`` and ``ba`` of nonzero homogeneous elements, or None.  ``r`` is read
+    from any one word of ``ab`` and checked on every word of ``ba`` by one shift."""
+    if len(ab._t) != len(ba._t):
         return None
-    if not terms_ab:
+    if not ab._t:
         return 0
-    w0, c_ab = terms_ab[0]
-    c_ba = ba.coeff(w0)
-    if c_ba.is_zero():
+    w, c = next(iter(ab._t.items()))
+    if w not in ba._t:
         return None
-    r = c_ab.min_exp() - c_ba.min_exp()
-    q_r = LaurentQ.q_power(r)
-    if all(ab.coeff(w) == q_r * c for w, c in terms_ba):
+    r = c.min_exp() - ba._t[w].min_exp()
+    if all(ab._t.get(v) == cv.shift(r) for v, cv in ba._t.items()):
         return r
     return None

@@ -22,7 +22,7 @@ from qmb.identities import (
     generator_position,
     run_suite,
 )
-from qmb.minors import qcommutation_probe, quantum_minor
+from qmb.minors import qcommutation_exponent, qcommutation_probe, quantum_minor
 from qmb.scalars import ONE, QINV, LaurentQ
 
 
@@ -135,6 +135,24 @@ class TestMuirPair:
         assert (first.status, second.status) == (FAILED, FAILED)
         assert first.residual == commutator(DL, DLp)
         assert second.residual == commutator(DLp, DL)
+
+    def test_each_interchanged_pair_reads_its_exponent_once(self, monkeypatch):
+        calls = []
+
+        def counted(ab, ba):
+            calls.append((ab, ba))
+            return qcommutation_exponent(ab, ba)
+
+        monkeypatch.setattr(identities, "qcommutation_exponent", counted)
+        configs = list(muir_configurations(3))
+        for n, K, L, Lp in configs:
+            first, second = check_muir_pair(n, K, L, Lp)
+            assert first.convention["exponent"] == -second.convention["exponent"]
+        assert len(calls) == len(configs)
+        del calls[:]
+        check_muir_pair(3, (1, 2), (1, 3), (1, 3))
+        check_muir_pair(4, (1, 2), (1, 2), (3, 4))
+        assert not calls
 
     def test_the_sweep_forms_each_pair_once(self, monkeypatch):
         calls = []

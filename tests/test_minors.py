@@ -1,5 +1,6 @@
 """Quantum minor construction and probing."""
 
+import random
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -185,6 +186,64 @@ class TestProbe:
             qcommutation_probe(t(2, 1, 1) + Element.unit(2), t(2, 1, 1))
         with pytest.raises(ValueError):
             qcommutation_probe(t(2, 1, 1), t(2, 1, 1) + Element.unit(2))
+
+
+def homogeneous_pool(rng, n):
+    """Generators, minors of size at least 2, seeded two-letter generator
+    words, and seeded products of a generator or minor with a minor: every
+    one homogeneous.  The exponents of the pairs drawn from it lie in
+    [-4, 4], the range ``brute_exponent`` tries."""
+    gens = [t(n, i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+    mins = [quantum_minor(n, K, L) for m in range(2, n + 1)
+            for K in combinations(range(1, n + 1), m) for L in combinations(range(1, n + 1), m)]
+    words = [rng.choice(gens) * rng.choice(gens) for _ in range(6)]
+    products = [rng.choice(gens + mins) * rng.choice(mins) for _ in range(6)]
+    return gens + mins + words + products
+
+
+def brute_exponent(ab, ba):
+    """The r in [-4, 4] with ``ab == q^r ba``, found by trying each, or None."""
+    hits = [r for r in range(-4, 5) if ab == ba.scale(LaurentQ.q_power(r))]
+    assert len(hits) <= 1
+    return hits[0] if hits else None
+
+
+class TestExponentOnTermMaps:
+    def test_equals_the_brute_force_reference(self):
+        rng = random.Random(211)
+        seen = set()
+        for n in (2, 3):
+            pool = homogeneous_pool(rng, n)
+            for _ in range(80):
+                a, b = rng.choice(pool), rng.choice(pool)
+                ab, ba = a * b, b * a
+                r = qcommutation_exponent(ab, ba)
+                assert r == brute_exponent(ab, ba), (a, b)
+                seen.add(r)
+        assert {None, 0, 1, -1, 2, -2} <= seen
+
+    def test_both_products_zero(self):
+        assert qcommutation_exponent(Element.zero(3), Element.zero(3)) == 0
+
+    def test_equal_term_counts_with_a_missing_word(self):
+        w1, w2, w3 = ((1, 1), (2, 2)), ((1, 2), (2, 1)), ((1, 1), (2, 1))
+        assert qcommutation_exponent(Element(2, [(w1, 1)]), Element(2, [(w2, 1)])) is None
+        # the first word of ab matches with r = 0, but ba's second word is not in ab
+        ab = Element._make(2, {w1: LaurentQ(1), w2: LaurentQ(1)})
+        ba = Element._make(2, {w1: LaurentQ(1), w3: LaurentQ(1)})
+        assert qcommutation_exponent(ab, ba) is None
+
+    def test_first_inserted_word_need_not_be_the_smallest(self):
+        a, b = quantum_minor(3, (1, 2), (1, 3)), quantum_minor(3, (1, 2), (2, 3))
+        ab, ba = a * b, b * a
+        terms = ab.terms()
+        backwards = Element._make(3, dict(reversed(terms)))
+        assert next(iter(backwards._t)) != terms[0][0] and backwards == ab
+        assert qcommutation_exponent(backwards, ba) == brute_exponent(ab, ba) == 1
+        # a coefficient off on the smallest word only is still caught
+        off = dict(reversed(terms))
+        off[terms[0][0]] = off[terms[0][0]] * 2
+        assert qcommutation_exponent(Element._make(3, off), ba) is None
 
 
 class TestMinorInvariants:

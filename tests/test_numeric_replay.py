@@ -12,9 +12,10 @@ import random
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from qmb.algebra import Element
+from qmb.algebra import Element, reduce_terms
 from qmb.minors import MinorId
 from qmb.ore import LEFT, RIGHT, solve_witness, witness_generator_constructive
+from qmb.scalars import ONE
 
 
 def reduce_numeric(n, q0, terms):
@@ -134,6 +135,24 @@ class TestNumericReplay:
             exact = Element(n, [(w1, 1)]) * Element(n, [(w2, 1)])
             for q0 in (Fraction(2), Fraction(-3, 2)):
                 assert numeric_value(exact, q0) == reduce_numeric(n, q0, [(1, w1 + w2)])
+
+    def test_rewrite_rule_agrees_on_every_generator_pair(self):
+        """Every out-of-order generator pair ``x > y`` at n = 3 and n = 4, both
+        through the packed append (``Element``) and through ``rewrite_pair``
+        (``reduce_terms``), equals the reducer above at two values of q."""
+        cases = set()
+        for n in (3, 4):
+            gens = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+            for y, x in combinations(gens, 2):
+                (a, b), (c, d) = x, y
+                cases.add("q-swap" if a == c or b == d else "commute" if b < d else "correction")
+                packed = Element(n, [((x, y), 1)])
+                rewritten = Element._make(n, reduce_terms([(ONE, (x, y))]))
+                for q0 in (Fraction(2), Fraction(-3, 2)):
+                    expected = reduce_numeric(n, q0, [(1, (x, y))])
+                    assert numeric_value(packed, q0) == expected, (x, y, q0)
+                    assert numeric_value(rewritten, q0) == expected, (x, y, q0)
+        assert cases == {"q-swap", "commute", "correction"}
 
     def test_solver_witnesses_replay_numerically(self):
         cases = [
