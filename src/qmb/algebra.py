@@ -18,7 +18,9 @@ Every rule preserves the multiset of row labels and of column labels, so the
 algebra is graded by that pair of multisets (the multidegree); all searches
 downstream are confined to finite multidegree components.
 
-Every normal form comes from one routine, ``_mul_terms``.  A product walks
+Every normal form comes from one routine, ``_mul_terms``, except that of a
+product with a scalar factor ``{(): c}``: the scalar is central and the other
+factor already normal, so that product is ``scale(c)``.  A product walks
 the right factor's words as a prefix trie, extending the whole left factor
 one generator at a time; a term list, whose words need not be sorted, is the
 right factor of ``1 * terms``.  The walk splits each state word before its
@@ -531,13 +533,16 @@ class Element:
         return max(len(w) for w in self._t)
 
     def multidegree(self) -> Optional[MultiDegree]:
-        """The common multidegree of all words, or None when inhomogeneous."""
+        """The common multidegree of all words, or None when inhomogeneous.
+        A sorted word's rows are in order, so ``(rows, sorted columns)`` is
+        its multidegree key; once every word's key agrees, one word's count
+        is the answer."""
         if not self._t:
             return None
-        degs = {MultiDegree.of_word(self.n, w) for w in self._t}
-        if len(degs) > 1:
+        keys = {(tuple(i for i, _ in w), tuple(sorted(j for _, j in w))) for w in self._t}
+        if len(keys) > 1:
             return None
-        return degs.pop()
+        return MultiDegree.of_word(self.n, next(iter(self._t)))
 
     def homogeneous_components(self) -> dict[MultiDegree, "Element"]:
         comps: dict[MultiDegree, dict[Word, LaurentQ]] = {}
@@ -566,27 +571,50 @@ class Element:
         return Element._make(self.n, acc)
 
     def __sub__(self, other: "Element") -> "Element":
-        return self + (-other)
+        """``self - other`` in one pass over ``other``'s terms, as ``__add__``."""
+        if not isinstance(other, Element):
+            return NotImplemented
+        self._check_context(other)
+        acc = dict(self._t)
+        for w, c in other._t.items():
+            s = acc.get(w)
+            s = -c if s is None else s - c
+            if s.is_zero():
+                acc.pop(w, None)
+            else:
+                acc[w] = s
+        return Element._make(self.n, acc)
 
     def __neg__(self) -> "Element":
         return Element._make(self.n, {w: -c for w, c in self._t.items()})
 
     def scale(self, value: ScalarLike) -> "Element":
+        """``value * self``; ``self`` itself when ``value`` is 1 (elements are immutable)."""
         value = LaurentQ.coerce(value)
         if value.is_zero():
             return Element.zero(self.n)
+        if value.is_one():
+            return self
         return Element._make(self.n, {w: c * value for w, c in self._t.items()})
 
     def __mul__(self, other: Union["Element", ScalarLike]) -> "Element":
+        """The normal form of the product.  A scalar factor ``{(): c}`` is
+        central and the other factor is already normal, so that product is
+        ``scale(c)``; every other product comes from ``_mul_terms``."""
         if isinstance(other, (int, Fraction, LaurentQ)):
             return self.scale(other)
         if not isinstance(other, Element):
             return NotImplemented
         self._check_context(other)
-        if not self._t or not other._t:
+        a, b = self._t, other._t
+        if not a or not b:
             return Element.zero(self.n)
         _check_cap(self.degree() + other.degree())
-        return Element._make(self.n, _mul_terms(self._t, other._t))
+        if len(a) == 1 and () in a:
+            return other.scale(a[()])
+        if len(b) == 1 and () in b:
+            return self.scale(b[()])
+        return Element._make(self.n, _mul_terms(a, b))
 
     def __rmul__(self, other: ScalarLike) -> "Element":
         if isinstance(other, (int, Fraction, LaurentQ)):

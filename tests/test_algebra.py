@@ -171,6 +171,104 @@ class TestNormalForm:
             Element.generator(2, 3, 1)
 
 
+SCALARS = [1, 2, Fraction(1, 3), QINV**2, 1 + Q, -Q**3 + QINV]
+
+
+def seeded_elements(seed):
+    """Seeded elements at n <= 4: random sums, a minor, a rational multiple,
+    the unit and a scalar."""
+    rng = random.Random(seed)
+    out = []
+    for n in (1, 2, 3, 4):
+        out += [rand_element(rng, n) for _ in range(4)]
+        out += [quantum_minor(n, tuple(range(1, n + 1)), tuple(range(1, n + 1))),
+                rand_element(rng, n).scale(Fraction(2, 5)), Element.unit(n), Element.scalar(n, 1 - Q)]
+    return [x for x in out if not x.is_zero()]
+
+
+@pytest.fixture
+def products(monkeypatch):
+    """The arguments of every ``_mul_terms`` call, recorded through the module global."""
+    calls = []
+    walk = algebra._mul_terms
+
+    def record(left, right):
+        calls.append((left, right))
+        return walk(left, right)
+
+    monkeypatch.setattr(algebra, "_mul_terms", record)
+    return calls
+
+
+class TestScalarFactors:
+    """A product with a factor ``{(): c}`` is ``scale(c)`` of the other factor."""
+
+    @pytest.mark.parametrize("s", SCALARS, ids=str)
+    def test_a_scalar_factor_is_a_scale(self, s):
+        for x in seeded_elements(61):
+            c = Element.scalar(x.n, s)
+            assert c * x == agenda_product(x.n, c, x) == x.scale(s)
+            assert x * c == agenda_product(x.n, x, c) == x.scale(s)
+
+    def test_no_scalar_product_reaches_the_walk(self, products):
+        xs = seeded_elements(67)
+        products.clear()  # the products that built the elements
+        for x in xs:
+            for s in SCALARS:
+                c = Element.scalar(x.n, s)
+                c * x, x * c
+        assert products == []
+        # a factor with a scalar term beside a word is not a scalar
+        x = t(3, 2, 1) + Element.scalar(3, 2)
+        assert x * t(3, 1, 1) == agenda_product(3, x, t(3, 1, 1))
+        assert len(products) == 1
+
+    def test_scaling_by_one_returns_the_element(self):
+        for x in seeded_elements(71):
+            for one in (1, Fraction(1), ONE):
+                assert x.scale(one) is x
+        for n in (1, 2, 3, 4):
+            assert Element.unit(n) ** 3 == Element.unit(n)
+            assert Element.unit(n) ** 0 == Element.unit(n)
+
+    def test_the_cap_and_the_sizes_are_checked_first(self, monkeypatch):
+        x = Element._make(2, {((1, 1),) * 3: ONE})
+        monkeypatch.setenv("QMB_MAX_DEGREE", "2")
+        for product in (lambda: Element.scalar(2, 2) * x, lambda: x * Element.unit(2)):
+            with pytest.raises(DegreeCapError):
+                product()
+        with pytest.raises(ContextMismatchError):
+            Element.unit(3) * t(2, 1, 1)
+
+
+class TestSubtraction:
+    def test_difference_equals_the_sum_with_the_negation(self):
+        rng = random.Random(73)
+        for n in (1, 2, 3, 4):
+            for _ in range(12):
+                a, b = rand_element(rng, n), rand_element(rng, n)
+                # half of a's terms again in b, with the same coefficients: those words cancel
+                shared = a.terms()[: len(a.terms()) // 2 + 1] if rng.random() < 0.5 else []
+                b = b + Element._make(n, dict(shared))
+                diff = a - b
+                assert diff == a + (-b)
+                assert diff == reference(n, [(c, w) for w, c in a.terms()] + [(-c, w) for w, c in b.terms()])
+                assert all(not c.is_zero() for c in diff._t.values())
+
+    def test_every_word_or_some_words_cancel(self):
+        a = t(3, 1, 1) * t(3, 2, 2) + t(3, 1, 3).scale(Q)
+        assert (a - a)._t == {}
+        b = t(3, 1, 3).scale(Q) + t(3, 3, 1)
+        assert (a - b)._t == {((1, 1), (2, 2)): ONE, ((3, 1),): -ONE}
+        assert (a - Element.zero(3)) == a and (Element.zero(3) - a) == -a
+
+    def test_only_elements_of_one_size_subtract(self):
+        with pytest.raises(ContextMismatchError):
+            t(2, 1, 1) - t(3, 1, 1)
+        with pytest.raises(TypeError):
+            t(2, 1, 1) - 1
+
+
 @pytest.fixture
 def fallbacks(monkeypatch):
     """The products that leave the packed path, recorded through the kernel's
@@ -562,6 +660,30 @@ class TestMultiDegree:
             if ab.is_zero():
                 continue
             assert ab.multidegree() == MultiDegree.of_word(3, u + v)
+
+    def test_equals_the_set_of_word_multidegrees(self):
+        """The multidegree read off one word's rows and sorted columns equals
+        the set of every word's ``MultiDegree``, when it has one member."""
+
+        def by_set(x):
+            degs = {MultiDegree.of_word(x.n, w) for w in x._t}
+            return degs.pop() if len(degs) == 1 else None
+
+        rng = random.Random(79)
+        cases = seeded_elements(83)
+        for n in (2, 3, 4):
+            for _ in range(10):
+                u = rand_word(rng, n, 4)
+                shuffled = tuple(rng.sample(u, len(u)))
+                cases.append(normal_form(n, [(1, u), (Q, shuffled)]))  # homogeneous
+                cases.append(Element(n, [(u, 1)]) * rand_element(rng, n))
+        # same rows, different column multisets; and the reverse
+        cases.append(Element(2, [(((1, 1), (2, 1)), 1), (((1, 2), (2, 2)), 1)]))
+        cases.append(Element(2, [(((1, 1), (1, 2)), 1), (((2, 1), (2, 2)), 1)]))
+        assert {by_set(x) is None for x in cases if not x.is_zero()} == {True, False}
+        for x in cases:
+            assert x.multidegree() == by_set(x)
+        assert cases[-2].multidegree() is None and cases[-1].multidegree() is None
 
 
 class TestTranspose:

@@ -228,6 +228,35 @@ def test_n5_infeasible_power_records_are_pinned(m, record):
 PROPER_N3 = [MinorId(K, L) for m in (1, 2) for K in combinations((1, 2, 3), m) for L in combinations((1, 2, 3), m)]
 
 
+def law_power(minor, k, l):
+    """The minimal-power law (README, a conjecture): 1, plus 1 for a row label
+    in a gap of K, 1 for a column label in a gap of L, and 1 when both labels
+    are outside and on the same side (both below or both above)."""
+    K, L = minor.rows, minor.cols
+    k_out, l_out = k not in K, l not in L
+    return (1 + (k_out and K[0] < k < K[-1]) + (l_out and L[0] < l < L[-1])
+            + (k_out and l_out and ((k < K[0] and l < L[0]) or (k > K[-1] and l > L[-1]))))
+
+
+@pytest.mark.parametrize("n, items", [(3, 324), (4, 2176)])
+def test_solver_powers_follow_the_minimal_power_law(n, items):
+    """Every proper minor x every generator x both forms: the solver's
+    minimal power equals the law, which reaches 1, 2 and 3."""
+    labels = range(1, n + 1)
+    seen = {}
+    for side in SIDES:
+        for m in range(1, n):
+            for K in combinations(labels, m):
+                for L in combinations(labels, m):
+                    minor = MinorId(K, L)
+                    for k in labels:
+                        for l in labels:
+                            law = law_power(minor, k, l)
+                            assert solve_witness(n, minor, gen(n, k, l), side).power == law, (minor, k, l, side)
+                            seen[law] = seen.get(law, 0) + 1
+    assert sum(seen.values()) == items and sorted(seen) == [1, 2, 3]
+
+
 def test_solver_systems_have_full_column_rank_and_laurent_solutions(monkeypatch):
     """README lemma 2: every system is unit-triangular on its leading rows, so
     its rank is its column count, feasible or not, its solution is Laurent and
