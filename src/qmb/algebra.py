@@ -533,16 +533,13 @@ class Element:
         return max(len(w) for w in self._t)
 
     def multidegree(self) -> Optional[MultiDegree]:
-        """The common multidegree of all words, or None when inhomogeneous.
-        A sorted word's rows are in order, so ``(rows, sorted columns)`` is
-        its multidegree key; once every word's key agrees, one word's count
-        is the answer."""
+        """The common multidegree of all words, or None when inhomogeneous."""
         if not self._t:
             return None
-        keys = {(tuple(i for i, _ in w), tuple(sorted(j for _, j in w))) for w in self._t}
-        if len(keys) > 1:
+        degs = {MultiDegree.of_word(self.n, w) for w in self._t}
+        if len(degs) > 1:
             return None
-        return MultiDegree.of_word(self.n, next(iter(self._t)))
+        return degs.pop()
 
     def homogeneous_components(self) -> dict[MultiDegree, "Element"]:
         comps: dict[MultiDegree, dict[Word, LaurentQ]] = {}
@@ -571,19 +568,7 @@ class Element:
         return Element._make(self.n, acc)
 
     def __sub__(self, other: "Element") -> "Element":
-        """``self - other`` in one pass over ``other``'s terms, as ``__add__``."""
-        if not isinstance(other, Element):
-            return NotImplemented
-        self._check_context(other)
-        acc = dict(self._t)
-        for w, c in other._t.items():
-            s = acc.get(w)
-            s = -c if s is None else s - c
-            if s.is_zero():
-                acc.pop(w, None)
-            else:
-                acc[w] = s
-        return Element._make(self.n, acc)
+        return self + (-other)
 
     def __neg__(self) -> "Element":
         return Element._make(self.n, {w: -c for w, c in self._t.items()})

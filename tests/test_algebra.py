@@ -662,8 +662,8 @@ class TestMultiDegree:
             assert ab.multidegree() == MultiDegree.of_word(3, u + v)
 
     def test_equals_the_set_of_word_multidegrees(self):
-        """The multidegree read off one word's rows and sorted columns equals
-        the set of every word's ``MultiDegree``, when it has one member."""
+        """The multidegree is the set of every word's ``MultiDegree``, when
+        it has one member, and None otherwise."""
 
         def by_set(x):
             degs = {MultiDegree.of_word(x.n, w) for w in x._t}
