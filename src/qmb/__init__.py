@@ -46,13 +46,14 @@ from . import algebra, minors, ore
 
 def clear_caches() -> None:
     """Empty every process-global cache: the append table, the shared
-    monomials ``+-q^k`` of the product kernel, expanded minors, minor powers
-    and certified generator witnesses."""
+    monomials ``+-q^k`` of the product kernel, expanded minors, minor powers,
+    solved right-form witness systems and certified generator witnesses."""
     algebra._APPEND_CACHE.clear()
     algebra._PACKED_UNITS.clear()
     algebra._LAURENT_UNITS.clear()
     minors._minor_columns_cached.cache_clear()
     ore._minor_power.cache_clear()
+    ore._solve_right.cache_clear()
     ore._GEN_WITNESS_CACHE.clear()
 
 

@@ -193,15 +193,19 @@ def check_gap_one(n: int, K: Sequence[int], L: Sequence[int], k: int, l: int) ->
     minor-first order differs by exactly one power of q).
     """
     K, L = tuple(K), tuple(sorted(L))
-    cfg = _cfg(n, K, L, k=k, l=l)
     if generator_position(K, L, k, l) != "column-gap" or gap_index(L, l) != 1:
-        return CheckResult("gap-one", cfg, NOT_APPLICABLE)
+        return CheckResult("gap-one", _cfg(n, K, L, k=k, l=l), NOT_APPLICABLE)
+    return _gap_one(n, K, L, k, l, _gap_lhs(n, K, L, k, l))
+
+
+def _gap_one(n: int, K: tuple, L: tuple, k: int, l: int, lhs: Element) -> CheckResult:
+    """The gap-one check of an applicable configuration, whose ``lhs`` is formed."""
     # the general-gap expansion at gap index 1 is this one term
     ((coeff, (row, col), Lp),) = gap_correction_terms(n, K, L, k, l)
     Dp = quantum_minor(n, K, Lp)
     t1 = Element.generator(n, row, col)
     orders = (("generator-first", t1, Dp), ("minor-first", Dp, t1))
-    return _first_verified("gap-one", cfg, _gap_lhs(n, K, L, k, l),
+    return _first_verified("gap-one", _cfg(n, K, L, k=k, l=l), lhs,
                            (({"factor_order": name}, (a * b).scale(coeff)) for name, a, b in orders))
 
 
@@ -222,11 +226,15 @@ def check_gap_r(n: int, K: Sequence[int], L: Sequence[int], k: int, l: int) -> C
     every combination is tried and the verifying reading recorded.
     """
     K, L = tuple(K), tuple(sorted(L))
-    r = gap_index(L, l)
-    cfg = _cfg(n, K, L, k=k, l=l, r=r)
     if generator_position(K, L, k, l) != "column-gap":
-        return CheckResult("gap-r", cfg, NOT_APPLICABLE)
-    return _first_verified("gap-r", cfg, _gap_lhs(n, K, L, k, l),
+        return CheckResult("gap-r", _cfg(n, K, L, k=k, l=l, r=gap_index(L, l)), NOT_APPLICABLE)
+    return _gap_r(n, K, L, k, l, _gap_lhs(n, K, L, k, l))
+
+
+def _gap_r(n: int, K: tuple, L: tuple, k: int, l: int, lhs: Element) -> CheckResult:
+    """The gap-r check of an applicable configuration, whose ``lhs`` is formed."""
+    r = gap_index(L, l)
+    return _first_verified("gap-r", _cfg(n, K, L, k=k, l=l, r=r), lhs,
                            ((dict(reading), _gap_rhs(n, K, L, k, l, r, **reading)) for reading in GAP_READINGS))
 
 
@@ -412,8 +420,15 @@ def run_suite(n_max: int = 4, size_cap: Optional[int] = 3, include_membership: b
     for n, K, L in _minor_shapes(n_max, size_cap):
         for k in range(1, n + 1):
             for l in range(1, n + 1):
-                # the guards of the generator checks decide which apply
-                for check in (check_centrality, check_qcommutation, check_gap_r, check_gap_one):
+                if generator_position(K, L, k, l) == "column-gap":
+                    # both gap checks read the one commutator formed here
+                    lhs = _gap_lhs(n, K, L, k, l)
+                    results.append(_gap_r(n, K, L, k, l, lhs))
+                    if gap_index(L, l) == 1:
+                        results.append(_gap_one(n, K, L, k, l, lhs))
+                    continue
+                # the guards of the other generator checks decide which apply
+                for check in (check_centrality, check_qcommutation):
                     res = check(n, K, L, k, l)
                     if res.status != NOT_APPLICABLE:
                         results.append(res)

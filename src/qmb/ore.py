@@ -170,9 +170,32 @@ def _node(rule: str, detail: Optional[dict] = None, children: Optional[list[dict
 def _solve_at_power(n: int, minor: MinorId, element: Element, side: str, m: int):
     """The cofactor at a fixed power, or None and the record when infeasible.
     Right-form systems ``e * D^m == D * x`` only: a left question is asked for
-    the antitransposed minor and element, whose cofactor maps back."""
+    the antitransposed minor and element.  The right question and its
+    transpose (``D[L,K]``, ``e.transpose()``, same form) have the same
+    system up to renaming, so the one with the smaller key ``(rows, cols,
+    sorted words)`` is solved, through the per-process memo
+    :func:`_solve_right`, and its cofactor maps back (README lemma 1).  A
+    record counts only, so it is the same for all four questions; each
+    caller gets its own copy."""
     if side == LEFT:
         minor, element = minor.antitranspose(n), element.antitranspose()
+    transposed = MinorId(minor.cols, minor.rows), element.transpose()
+    flip = _question_key(*transposed) < _question_key(minor, element)
+    cofactor, record = _solve_right(n, *(transposed if flip else (minor, element)), m)
+    if cofactor is None:
+        return None, dict(record)
+    if flip:
+        cofactor = cofactor.transpose()
+    return cofactor.antitranspose() if side == LEFT else cofactor, None
+
+
+def _question_key(minor: MinorId, element: Element) -> tuple:
+    return minor.rows, minor.cols, sorted(element._t)
+
+
+@lru_cache(maxsize=1024)
+def _solve_right(n: int, minor: MinorId, element: Element, m: int):
+    """The right-form system at power ``m``: the cofactor, or None and the record."""
     D = minor_element(n, minor)
     target = element * _minor_power(n, minor, m)
     x_deg = target.multidegree().minus(D.multidegree())  # (m - 1) deg D + deg e: never negative
@@ -186,8 +209,7 @@ def _solve_at_power(n: int, minor: MinorId, element: Element, side: str, m: int)
     if not sol.consistent:
         return None, {"power": m, "reason": "inconsistent linear system", "rank": sol.rank,
                       "unknowns": len(basis), "equations": sol.equations}
-    cofactor = Element._make(n, {b: c for b, c in zip(basis, sol.solution) if c})
-    return cofactor.antitranspose() if side == LEFT else cofactor, None
+    return Element._make(n, {b: c for b, c in zip(basis, sol.solution) if c}), None
 
 
 def _factor_scale(scale: LaurentQ) -> list[LaurentQ]:

@@ -378,6 +378,22 @@ class TestSuite:
         assert report.counts()["gap-one"][VERIFIED] > 0
         assert report.counts()["gap-r"][VERIFIED] > 0
 
+    def test_the_sweep_forms_each_gap_commutator_once(self, monkeypatch):
+        """Both gap checks of a configuration read one formed ``D t - q^-1 t D``."""
+        calls = []
+        gap_lhs = identities._gap_lhs
+
+        def counted(*args):
+            calls.append(args)
+            return gap_lhs(*args)
+
+        monkeypatch.setattr(identities, "_gap_lhs", counted)
+        report = run_suite(n_max=4)
+        assert report.all_verified()
+        gap_r = [r for r in report.results if r.identity == "gap-r"]
+        assert any(r.identity == "gap-one" for r in report.results)
+        assert len(gap_r) == len(calls) == len(set(calls))
+
     def test_vacuous_at_n1(self):
         report = run_suite(n_max=1, size_cap=None)
         assert report.all_verified()

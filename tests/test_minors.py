@@ -255,11 +255,14 @@ class TestMinorInvariants:
         assert D.multidegree() == MultiDegree(rows, cols)
 
     def test_transpose_swaps_index_sets(self):
-        for n in (2, 3):
+        """Every minor at n <= 4 (the antitranspose analogue is
+        ``TestAntitranspose``); the witness solver relies on both."""
+        for n in (1, 2, 3, 4):
             for m in range(1, n + 1):
                 for K in combinations(range(1, n + 1), m):
                     for L in combinations(range(1, n + 1), m):
-                        assert quantum_minor(n, K, L).transpose() == quantum_minor(n, L, K)
+                        image = minors.minor_element(n, MinorId(K, L)).transpose()
+                        assert minors.minor_element(n, MinorId(L, K)) == image
 
     def test_classical_limit_is_the_determinant(self):
         # oracle: ordinary determinant via signed permutation sum

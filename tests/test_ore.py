@@ -12,6 +12,7 @@ import pytest
 
 from qmb import algebra, clear_caches, identities, minors, ore
 from qmb.algebra import Element, MultiDegree, basis_monomials
+from qmb.cli import EXIT_PRECONDITION, main
 from qmb.exprparse import parse_element
 from qmb.minors import MinorId, minor_element, quantum_minor
 from qmb.ore import (
@@ -238,22 +239,22 @@ def law_power(minor, k, l):
             + (k_out and l_out and ((k < K[0] and l < L[0]) or (k > K[-1] and l > L[-1]))))
 
 
+def proper_items(n):
+    """Every proper minor x every generator x both forms at size ``n``."""
+    labels = range(1, n + 1)
+    return [(MinorId(K, L), k, l, side) for side in SIDES for m in range(1, n)
+            for K in combinations(labels, m) for L in combinations(labels, m) for k in labels for l in labels]
+
+
 @pytest.mark.parametrize("n, items", [(3, 324), (4, 2176)])
 def test_solver_powers_follow_the_minimal_power_law(n, items):
     """Every proper minor x every generator x both forms: the solver's
     minimal power equals the law, which reaches 1, 2 and 3."""
-    labels = range(1, n + 1)
     seen = {}
-    for side in SIDES:
-        for m in range(1, n):
-            for K in combinations(labels, m):
-                for L in combinations(labels, m):
-                    minor = MinorId(K, L)
-                    for k in labels:
-                        for l in labels:
-                            law = law_power(minor, k, l)
-                            assert solve_witness(n, minor, gen(n, k, l), side).power == law, (minor, k, l, side)
-                            seen[law] = seen.get(law, 0) + 1
+    for minor, k, l, side in proper_items(n):
+        law = law_power(minor, k, l)
+        assert solve_witness(n, minor, gen(n, k, l), side).power == law, (minor, k, l, side)
+        seen[law] = seen.get(law, 0) + 1
     assert sum(seen.values()) == items and sorted(seen) == [1, 2, 3]
 
 
@@ -263,7 +264,10 @@ def test_solver_systems_have_full_column_rank_and_laurent_solutions(monkeypatch)
     every solver witness has scale 1.  Every n = 3 generator question, both
     forms, and a seeded sample of two-term elements with rational and Laurent
     coefficients.  A plain rational Gauss elimination at q = 5/7 checks the
-    rank, the consistency and the solution of every system independently."""
+    rank, the consistency and the solution of every system independently.
+    From cold caches, each system is solved once per orbit under the
+    antitranspose and the transpose (:func:`ore._solve_at_power`)."""
+    clear_caches()
     systems = []
     real = ore.solve_linear
 
@@ -286,11 +290,59 @@ def test_solver_systems_have_full_column_rank_and_laurent_solutions(monkeypatch)
         for minor in PROPER_N3:
             for e in elements:
                 assert solve_witness(n, minor, e, side).scale == ONE
-    assert (len(systems), sum(not sol.consistent for _, _, sol in systems)) == (1806, 618)
+    assert (len(systems), sum(not sol.consistent for _, _, sol in systems)) == (1292, 476)
     for columns, target, sol in systems:
         assert sol.rank == len(columns)
         assert sol.solution is None or all(type(x) is LaurentQ for x in sol.solution)
         assert_agrees_with_oracle(columns, target, sol)
+
+
+def solve_directly(n, minor, element, side, m):
+    """``_solve_at_power`` with neither the transpose nor the memo: the
+    right-form system of the question itself, by the memo's uncached core."""
+    if side == LEFT:
+        minor, element = minor.antitranspose(n), element.antitranspose()
+    cofactor, record = ore._solve_right.__wrapped__(n, minor, element, m)
+    return cofactor if cofactor is None or side == RIGHT else cofactor.antitranspose(), record
+
+
+@pytest.mark.parametrize("n, sample", [(3, None), (4, 200)])
+def test_memoised_solves_equal_the_direct_solves(n, sample, monkeypatch):
+    """Every n = 3 item (324) and a seeded sample of 200 n = 4 items: the
+    witness solved through the transpose and the memo is the one solved
+    from the question's own system."""
+    items = proper_items(n)
+    if sample is not None:
+        items = random.Random(24).sample(items, sample)
+    assert len(items) == (324 if n == 3 else 200)
+    questions = [(n, minor, gen(n, k, l), side) for minor, k, l, side in items]
+    clear_caches()
+    memoised = [solve_witness(*q).to_json() for q in questions]
+    if n == 3:  # the four questions of an orbit share their systems
+        info = ore._solve_right.cache_info()
+        assert info.hits > 2 * info.misses
+    clear_caches()
+    monkeypatch.setattr(ore, "_solve_at_power", solve_directly)
+    assert [solve_witness(*q).to_json() for q in questions] == memoised
+    assert ore._solve_right.cache_info().currsize == 0
+
+
+def test_the_memo_hands_each_caller_its_own_records(tmp_path, capsys):
+    """A caller that changes a record it was given changes neither a later
+    solve of the question or of its images, nor the re-derivation that
+    ``verify-witness`` makes of a file stating the changed record."""
+    n, minor, t = 3, MinorId((1, 3), (1, 3)), gen(3, 2, 2)  # power 3: two records
+    clear_caches()
+    w = solve_witness(n, minor, t, LEFT)
+    true = copy.deepcopy(w.infeasible)
+    w.infeasible[0]["rank"] += 1
+    image = minor.antitranspose(n)  # the right question with the same system
+    for again in (solve_witness(n, minor, t, LEFT), solve_witness(n, image, t.antitranspose(), RIGHT)):
+        assert again.infeasible == true
+    path = tmp_path / "w.json"
+    witness_to_file(w, str(path))
+    assert main(["verify-witness", str(path)]) == EXIT_PRECONDITION
+    assert "infeasible_powers" in capsys.readouterr().err
 
 
 class TestCompositions:
@@ -456,10 +508,12 @@ class TestCertifyOnce:
 def test_clear_caches_empties_every_cache():
     def sizes():
         return [len(algebra._APPEND_CACHE), minors._minor_columns_cached.cache_info().currsize,
-                ore._minor_power.cache_info().currsize, len(ore._GEN_WITNESS_CACHE)]
+                ore._minor_power.cache_info().currsize, ore._solve_right.cache_info().currsize,
+                len(ore._GEN_WITNESS_CACHE)]
 
     clear_caches()
     witness_generator_constructive(3, MinorId((1, 2), (1, 3)), 1, 2, LEFT)
+    solve_witness(3, MinorId((1, 2), (1, 3)), gen(3, 1, 2), LEFT)
     assert all(sizes())
     # products walk the right factor's prefix trie; no word-pair table fills
     assert not algebra._WORD_MUL_CACHE
@@ -468,7 +522,7 @@ def test_clear_caches_empties_every_cache():
     assert len(a.terms()) > 1 and len(b.terms()) > 1 and not (a * b).is_zero()
     assert not algebra._WORD_MUL_CACHE
     clear_caches()
-    assert sizes() == [0, 0, 0, 0]
+    assert sizes() == [0, 0, 0, 0, 0]
 
 
 class TestWitnessForElement:
