@@ -5,12 +5,16 @@ Exit codes: 0 success, 2 usage or expression syntax error, 3 precondition
 failure or an OS error on a file, 4 no witness within the power bound, 5
 check or certificate failure, 6 degree cap, minor-size or matrix-size bound
 exceeded.
+
+The ``qmb`` script and ``python -m qmb.cli`` enter through ``run``, which
+ends the process as soon as ``main``'s output is flushed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .algebra import DegreeCapError, Element, _read_int, commutator
@@ -254,7 +258,10 @@ def main(argv=None) -> int:
     try:
         if "n" in args:
             check_matrix_size(args.n)
-        return args.func(args)
+        code = args.func(args)
+        # a buffered stdout meets a full disk or a closed pipe here, not at exit
+        sys.stdout.flush()
+        return code
     except UsageError as exc:
         print(f"qmb: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -275,5 +282,18 @@ def main(argv=None) -> int:
         return EXIT_PRECONDITION
 
 
+def run() -> None:
+    """Run ``main`` on the command line and end the process with its status.
+
+    Every object dies with the process, so the interpreter's teardown, which
+    frees them one by one, is skipped.  ``main`` has flushed stdout;
+    argparse's own exits (a bad option, ``--help``) leave through
+    ``SystemExit`` as before.
+    """
+    code = main()
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -2,9 +2,12 @@
 
 import dataclasses
 import json
+import os
+import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -613,6 +616,69 @@ class TestOreVerb:
         _, out1, _ = run(capsys, *argv)
         _, out2, _ = run(capsys, *argv)
         assert out1 == out2
+
+
+def spawn(argv, *, buffered=True, **kwargs):
+    """``python -m qmb.cli ARGV`` as a child process, stdout buffered as it is
+    for a user unless ``buffered`` is false."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    kwargs.setdefault("stdout", subprocess.PIPE)
+    return subprocess.run([sys.executable, "-m", "qmb.cli", *argv], stderr=subprocess.PIPE,
+                          env=env, timeout=60, **kwargs)
+
+
+class TestProcessBoundary:
+    """``python -m qmb.cli`` ends through ``cli.run`` without the interpreter's
+    teardown; what it writes and returns is what ``main`` gives in process."""
+
+    @pytest.mark.parametrize("argv, code", [
+        (("suite", "--n", "3", "--format", "json"), EXIT_OK),  # 284 KB, past a pipe's buffer
+        (("nf", "--n", "2", "t[1,1] +"), EXIT_USAGE),
+        (("identity", "--n", "3", "--kind", "centrality", "--rows", "1,2", "--cols", "1,2",
+          "--k", "3", "--l", "3"), EXIT_PRECONDITION),
+        (("ore", "--n", "2", "--minor-rows", "2", "--minor-cols", "2", "--elem", "t[1,1]",
+          "--max-power", "1"), EXIT_UNSAT),
+        (("identity", "--n", "3", "--kind", "membership", "--rows", "1", "--cols", "1",
+          "--k", "3", "--l", "3", "--element", "t[1,2]*t[2,1]"), EXIT_CHECK_FAILED),
+        (("nf", "--n", "2", "t[1,1]^17"), EXIT_DEGREE_CAP),
+    ], ids=["0-suite", "2-syntax", "3-not-applicable", "4-unsat", "5-membership", "6-degree-cap"])
+    def test_every_status_and_output_match_main(self, capsys, argv, code):
+        want = run(capsys, *argv)
+        proc = spawn(argv)
+        assert want[0] == code
+        assert (proc.returncode, proc.stdout.decode(), proc.stderr.decode()) == want
+
+    def test_witness_file_matches_main(self, capsys, tmp_path):
+        argv = ["ore", "--n", "3", "--minor-rows", "1,2", "--minor-cols", "1,2", "--elem", "t[3,3] t[1,3]"]
+        want = run(capsys, *argv, "--out", str(tmp_path / "main.json"))
+        proc = spawn([*argv, "--out", str(tmp_path / "child.json")])
+        assert (proc.returncode, proc.stdout.decode(), proc.stderr.decode()) == want == (EXIT_OK, "", "")
+        assert (tmp_path / "child.json").read_bytes() == (tmp_path / "main.json").read_bytes()
+
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("sink", ["full-disk", "closed-pipe"])
+    def test_an_output_error_exits_3(self, sink, buffered):
+        argv = ["nf", "--n", "2", "t[2,2] t[1,1]"]
+        if sink == "full-disk":
+            if not os.path.exists("/dev/full"):
+                pytest.skip("no /dev/full")
+            with open("/dev/full", "w") as full:
+                proc = spawn(argv, buffered=buffered, stdout=full)
+        else:
+            read, write = os.pipe()
+            os.close(read)
+            try:
+                proc = spawn(argv, buffered=buffered, stdout=write)
+            finally:
+                os.close(write)
+        err = proc.stderr.decode()
+        assert proc.returncode == EXIT_PRECONDITION, err
+        assert err.startswith("qmb: ") and err.count("\n") == 1
 
 
 class TestParserDetails:
