@@ -181,8 +181,17 @@ def _cmd_verify_witness(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse, except that ``--help`` lets an error writing stdout through:
+    argparse's own writer drops it, so unbuffered help into a full disk would
+    exit 0 with nothing written."""
+
+    def print_help(self, file=None):
+        (file or sys.stdout).write(self.format_help())
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qmb",
         description="Exact quantum-matrix-algebra workbench: normal forms, minors, "
         "identity sweeps, certified Ore witnesses.",
@@ -253,9 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if "n" in args:
             check_matrix_size(args.n)
         code = args.func(args)
@@ -286,11 +294,20 @@ def run() -> None:
     """Run ``main`` on the command line and end the process with its status.
 
     Every object dies with the process, so the interpreter's teardown, which
-    frees them one by one, is skipped.  ``main`` has flushed stdout;
-    argparse's own exits (a bad option, ``--help``) leave through
-    ``SystemExit`` as before.
+    frees them one by one, is skipped.  ``main`` has flushed stdout, except
+    on argparse's own exits (a bad option, ``--help``), which leave it
+    through ``SystemExit``; stdout is flushed here then, and an error doing
+    so exits 3 as in ``main``.
     """
-    code = main()
+    try:
+        code = main()
+    except SystemExit as exc:
+        code = exc.code
+        try:
+            sys.stdout.flush()
+        except OSError as err:
+            print(f"qmb: {err}", file=sys.stderr)
+            code = EXIT_PRECONDITION
     sys.stderr.flush()
     os._exit(code)
 

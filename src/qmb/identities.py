@@ -15,13 +15,19 @@ The resolved conventions the sweep discovers, for reference:
 * generator/minor q-commutation: exponent ``-1`` when the outside label sits
   above the range of its set, ``+1`` when below;
 * minors with a single interchanged column label: exponent ``+1`` exactly
-  when the removed label is smaller than the added one (the sweep forms the
-  two products of each such pair once, :func:`check_muir_pair` reads the
-  exponent from them once, and the reversed pair's is its negation);
+  when the removed label is smaller than the added one (:func:`check_muir_pair`
+  forms the two products of such a pair once and reads the exponent from them
+  once; the reversed pair's is its negation);
 * the single-gap identity holds with the correction factors ordered
   generator first: ``D t - q^-1 t D = (1-q^-2) t[k,l_1] D'``;
 * the general-gap identity holds with the correction row equal to the row
   of the commuted generator and replaced column sets re-sorted.
+
+:func:`run_suite` checks one centrality, q-commutation and Muir
+configuration per orbit of the flip ``t[i,j] -> t[n+1-i, n+1-j]`` (README,
+lemma 1a) and derives the result at the image of each verified one by
+relabelling (:func:`_flipped`); a failed result is never mirrored, so its
+image is checked directly, as is every fixed point of the flip.
 """
 
 from __future__ import annotations
@@ -394,6 +400,38 @@ def _minor_shapes(n_max: int, size_cap: Optional[int]):
                     yield n, K, L
 
 
+# The flip reverses every label order: below <-> above, removed<added <-> removed>added.
+_FLIPPED_GEOMETRY = {
+    "row-outside-below": "row-outside-above", "row-outside-above": "row-outside-below",
+    "col-outside-below": "col-outside-above", "col-outside-above": "col-outside-below",
+    "removed<added": "removed>added", "removed>added": "removed<added",
+}
+
+
+def _flipped(res: CheckResult) -> CheckResult:
+    """The result at the flip image of a verified centrality, q-commutation or
+    Muir result: every label ``x`` becomes ``n+1-x``.  The flip is an
+    anti-automorphism mapping ``D[K,L]`` to ``D[K*,L*]`` (README, lemma 1a), so
+    ``a b = q^e b a`` becomes ``b* a* = q^e a* b*``: the exponent is negated."""
+    n = res.config["n"]
+    cfg = {key: v if key == "n" else n + 1 - v if type(v) is int else sorted(n + 1 - x for x in v)
+           for key, v in res.config.items()}
+    conv = res.convention and {"geometry": _FLIPPED_GEOMETRY[res.convention["geometry"]],
+                               "exponent": -res.convention["exponent"]}
+    return CheckResult(res.identity, cfg, VERIFIED, Element.zero(n), conv)
+
+
+def _mirror(pending: dict, res: CheckResult) -> None:
+    """File the flip image of a verified ``res`` in ``pending``, unless a result
+    is filed there already (the reversed pair of a Muir pair that its own
+    flip reverses)."""
+    if res.status == VERIFIED:
+        image = _flipped(res)
+        # the sweep's key: the configuration's values in order, lists as tuples
+        key = tuple(tuple(v) if type(v) is list else v for v in image.config.values())
+        pending.setdefault(key, image)
+
+
 MEMBERSHIP_N_MAX = 3
 MEMBERSHIP_WORD_LEN = 2
 
@@ -405,6 +443,15 @@ def run_suite(n_max: int = 4, size_cap: Optional[int] = 3, include_membership: b
     separate single check exposed by the minors module tests.  Membership
     checks range over words in the letters of the minor's own submatrix, the
     case the main localization argument consumes.
+
+    The centrality, q-commutation and Muir checks are made once per orbit of
+    the flip ``t[i,j] -> t[n+1-i, n+1-j]``: each verified result files its
+    image in ``pending``, which the sweep reads when it reaches that
+    configuration.  A failed result files none, so its image is checked
+    directly; so is every fixed point of the flip.  The two products of a
+    Muir pair give the results of ``(L, L')`` and ``(L', L)``, and the flip
+    images of both.  The report is the one that checking every configuration
+    directly gives.
     """
     report = SuiteReport(
         params={
@@ -416,7 +463,10 @@ def run_suite(n_max: int = 4, size_cap: Optional[int] = 3, include_membership: b
         }
     )
     results = report.results
-    mirrored: dict[tuple, CheckResult] = {}
+    # results filed ahead, keyed by configuration: flip images and reversed Muir
+    # pairs.  The image of a fixed point (or of a result whose image failed
+    # earlier) is filed after its configuration was swept, and never read.
+    pending: dict[tuple, CheckResult] = {}
     for n, K, L in _minor_shapes(n_max, size_cap):
         for k in range(1, n + 1):
             for l in range(1, n + 1):
@@ -427,20 +477,30 @@ def run_suite(n_max: int = 4, size_cap: Optional[int] = 3, include_membership: b
                     if gap_index(L, l) == 1:
                         results.append(_gap_one(n, K, L, k, l, lhs))
                     continue
-                # the guards of the other generator checks decide which apply
-                for check in (check_centrality, check_qcommutation):
-                    res = check(n, K, L, k, l)
-                    if res.status != NOT_APPLICABLE:
-                        results.append(res)
-        # minors differing in one column label: the pair (L, L') also gives
-        # the result of (L', L), which waits here until the sweep reaches it
+                key = (n, K, L, k, l)
+                res = pending.pop(key, None)
+                if res is None:
+                    # the guards of the other generator checks decide which apply
+                    res = check_centrality(*key)
+                    if res.status == NOT_APPLICABLE:
+                        res = check_qcommutation(*key)
+                        if res.status == NOT_APPLICABLE:
+                            continue
+                    _mirror(pending, res)
+                results.append(res)
+        # minors differing in one column label: the products of the pair
+        # (L, L') also give the result of (L', L)
         for position in range(1, len(L) + 1):
             for b in range(1, n + 1):
                 if b not in L:
                     Lp = column_replace(L, position, b)
-                    res = mirrored.pop((n, K, L, Lp), None)
+                    key = (n, K, L, Lp)
+                    res = pending.pop(key, None)
                     if res is None:
-                        res, mirrored[(n, K, Lp, L)] = check_muir_pair(n, K, L, Lp)
+                        res, back = check_muir_pair(*key)
+                        pending[n, K, Lp, L] = back
+                        _mirror(pending, res)
+                        _mirror(pending, back)
                     results.append(res)
 
     if include_membership:

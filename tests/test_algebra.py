@@ -60,6 +60,18 @@ def rand_element(rng, n, max_len=3, n_terms=3):
     return normal_form(n, terms)
 
 
+def overlap_defects(n):
+    """Whether each overlap ``x y z`` (x > y > z) fails to resolve: the normal
+    forms of its two one-step reductions ``r(x y) z`` and ``x r(y z)`` differ."""
+    gens = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+    defects = {}
+    for z, y, x in combinations(gens, 3):
+        left = reduce_terms([(c, w + (z,)) for c, w in algebra.rewrite_pair(x, y)])
+        right = reduce_terms([(c, (x,) + w) for c, w in algebra.rewrite_pair(y, z)])
+        defects[x, y, z] = left != right
+    return defects
+
+
 class TestRelations:
     """The six defining relation families, straight from the presentation."""
 
@@ -111,6 +123,31 @@ class TestNormalForm:
             left = reduce_terms([(ONE, word)], strategy="leftmost")
             right = reduce_terms([(ONE, word)], strategy="rightmost")
             assert left == right
+
+    def test_each_rule_makes_its_word_smaller(self):
+        """Termination: each rule's output words are smaller than ``x y`` in the
+        length-lexicographic order, and use only the labels of ``x y``."""
+        gens = [(i, j) for i in range(1, 4) for j in range(1, 4)]
+        for y, x in combinations(gens, 2):
+            for _, w in algebra.rewrite_pair(x, y):
+                assert len(w) == 2 and w < (x, y)
+                assert {g[0] for g in w} <= {x[0], y[0]} and {g[1] for g in w} <= {x[1], y[1]}
+
+    @pytest.mark.parametrize("n, overlaps", [(3, 84), (4, 560)])
+    def test_every_overlap_resolves(self, n, overlaps):
+        """Confluence by the diamond lemma (README): every overlap resolves at
+        n = 3, which covers every n; n = 4 is checked as well."""
+        assert len(overlap_defects(n)) == overlaps
+        assert not [xyz for xyz, defect in overlap_defects(n).items() if defect]
+
+    def test_a_corrupted_rule_leaves_an_overlap_unresolved(self, monkeypatch):
+        rewrite_pair = algebra.rewrite_pair
+
+        def sign_flipped(x, y):
+            return [(c if w == (y, x) else -c, w) for c, w in rewrite_pair(x, y)]
+
+        monkeypatch.setattr(algebra, "rewrite_pair", sign_flipped)
+        assert [xyz for xyz, defect in overlap_defects(3).items() if defect]
 
     def test_agenda_matches_cached_multiplication(self):
         rng = random.Random(31)

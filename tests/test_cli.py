@@ -680,6 +680,32 @@ class TestProcessBoundary:
         assert proc.returncode == EXIT_PRECONDITION, err
         assert err.startswith("qmb: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv, code", [
+        (("--help",), EXIT_PRECONDITION),
+        (("nf", "--help"), EXIT_PRECONDITION),
+        (("nf", "--n", "2", "--bogus", "t[1,1]"), EXIT_USAGE),
+    ], ids=["help", "verb-help", "bad-option"])
+    def test_argparse_exits_into_a_full_disk(self, argv, code, buffered):
+        """argparse's own exits keep the documented statuses: help that cannot
+        be written exits 3 with one ``qmb:`` line; a bad option writes only
+        to stderr and exits 2."""
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full")
+        with open("/dev/full", "w") as full:
+            proc = spawn(argv, buffered=buffered, stdout=full)
+        err = proc.stderr.decode()
+        assert proc.returncode == code, err
+        if code == EXIT_PRECONDITION:
+            assert err.startswith("qmb: ") and err.count("\n") == 1
+        else:
+            assert err.startswith("usage: qmb ") and err.endswith("unrecognized arguments: --bogus\n")
+
+    def test_help_is_written_whole(self):
+        proc = spawn(["--help"])
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, b"")
+        assert proc.stdout.decode().startswith("usage: qmb ")
+
 
 class TestParserDetails:
     def test_implicit_multiplication(self):

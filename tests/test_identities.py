@@ -106,6 +106,17 @@ def muir_configurations(n_max):
                     yield n, K, L, tuple(sorted((set(L) - {a}) | {b}))
 
 
+def flip_labels(n, labels):
+    return tuple(sorted(n + 1 - x for x in labels))
+
+
+def pair_orbit(n, K, L, Lp):
+    """The flip orbit of the unordered Muir pair ``{(K, L), (K, L')}``."""
+    pair = frozenset((L, Lp))
+    image = frozenset(flip_labels(n, x) for x in pair)
+    return n, frozenset(((K, pair), (flip_labels(n, K), image)))
+
+
 class TestMuirPair:
     def test_both_results_equal_the_single_checks(self):
         configs = list(muir_configurations(4))
@@ -155,6 +166,8 @@ class TestMuirPair:
         assert not calls
 
     def test_the_sweep_forms_each_pair_once(self, monkeypatch):
+        """One pair of products per flip orbit of unordered pairs ``{L, L'}``
+        gives the results of ``(L, L')``, ``(L', L)`` and their flip images."""
         calls = []
 
         def counted(*args):
@@ -163,8 +176,108 @@ class TestMuirPair:
 
         monkeypatch.setattr(identities, "check_muir_pair", counted)
         report = run_suite(n_max=4, size_cap=3)
-        muir = [r for r in report.results if r.identity == "muir"]
-        assert muir and 2 * len(calls) == len(muir)
+        swept = [(r.config["n"], tuple(r.config["K"]), tuple(r.config["L"]), tuple(r.config["Lprime"]))
+                 for r in report.results if r.identity == "muir"]
+        configs = [c for c in muir_configurations(4) if len(c[1]) <= 3]
+        assert sorted(swept) == sorted(configs)  # every result once
+        orbits = {pair_orbit(*c) for c in configs}
+        assert len(calls) == len(orbits) == len({pair_orbit(*c) for c in calls})
+        assert len(orbits) < len(configs) // 2
+
+
+def flip_key(cfg):
+    """The sweep's key of the flip image of a configuration."""
+    n = cfg["n"]
+    return tuple(v if name == "n" else n + 1 - v if type(v) is int else flip_labels(n, v)
+                 for name, v in cfg.items())
+
+
+def config_key(cfg):
+    return tuple(tuple(v) if type(v) is list else v for v in cfg.values())
+
+
+FLIPPED_FAMILIES = ("centrality", "q-commutation", "muir")
+
+
+def spoiled(res):
+    """``res`` as a failed result with a nonzero residual."""
+    return identities.CheckResult(res.identity, res.config, FAILED, Element.generator(res.config["n"], 1, 1),
+                                  res.convention and dict.fromkeys(res.convention))
+
+
+def recording(monkeypatch, spoil=None):
+    """Record the arguments of every direct centrality, q-commutation and Muir
+    check the sweep makes; the applicable check at ``spoil`` fails (the first
+    result, for a Muir pair)."""
+    calls = {}
+    for name in ("check_centrality", "check_qcommutation", "check_muir_pair"):
+        check = getattr(identities, name)
+
+        def patched(*args, name=name, check=check):
+            calls.setdefault(name, []).append(args)
+            res = check(*args)
+            if args != spoil:
+                return res
+            if name == "check_muir_pair":
+                return spoiled(res[0]), res[1]
+            return res if res.status == NOT_APPLICABLE else spoiled(res)
+
+        monkeypatch.setattr(identities, name, patched)
+    return calls
+
+
+class TestFlipOrbits:
+    """``run_suite`` checks one configuration per flip orbit and derives the
+    verified images (README lemma 1a); the report is the direct one."""
+
+    def test_every_derived_result_equals_the_direct_check(self, monkeypatch):
+        direct = {"centrality": check_centrality, "q-commutation": check_qcommutation,
+                  "muir": lambda *args: check_muir_pair(*args)[0]}
+        calls = recording(monkeypatch)
+        report = run_suite(n_max=4, size_cap=None, include_membership=False)
+        swept = [r for r in report.results if r.identity in FLIPPED_FAMILIES]
+        called = {args for name in calls for args in calls[name]}
+        derived = [r for r in swept if config_key(r.config) not in called]
+        assert {r.identity for r in derived} == set(FLIPPED_FAMILIES)
+        for res in derived:
+            # its image was checked; for Muir, the products of its pair or of the image pair were formed
+            key, image = config_key(res.config), flip_key(res.config)
+            orbit = {image} if res.identity != "muir" else {c[:2] + c[:1:-1] for c in (key, image)} | {image}
+            assert orbit & called
+        for res in swept:
+            want = direct[res.identity](*config_key(res.config))
+            # the JSON text, so that the key order of config and convention counts too
+            assert json.dumps(res.to_json()) == json.dumps(want.to_json())
+
+    @pytest.mark.parametrize("identity, target, image", [
+        ("centrality", (3, (1, 2), (1, 2), 1, 1), (3, (2, 3), (2, 3), 3, 3)),
+        ("q-commutation", (3, (1, 2), (1, 2), 3, 1), (3, (2, 3), (2, 3), 1, 3)),
+        ("muir", (3, (1, 2), (1, 2), (1, 3)), (3, (2, 3), (2, 3), (1, 3))),
+    ], ids=["centrality", "q-commutation", "muir"])
+    def test_a_failed_result_is_not_mirrored(self, monkeypatch, identity, target, image):
+        plain = run_suite(n_max=3, size_cap=None, include_membership=False).results
+        calls = recording(monkeypatch, spoil=target)
+        results = run_suite(n_max=3, size_cap=None, include_membership=False).results
+        called = {args for name in calls for args in calls[name]}
+        assert target in called and image in called
+        assert [(r.identity, config_key(r.config)) for r in results if r.status == FAILED] == [(identity, target)]
+        assert ([r.to_json() for r in results if config_key(r.config) != target]
+                == [r.to_json() for r in plain if config_key(r.config) != target])
+
+    def test_fixed_points_are_checked_directly(self, monkeypatch):
+        calls = recording(monkeypatch)
+        report = run_suite(n_max=5, size_cap=2, include_membership=False)
+        fixed = [r for r in report.results
+                 if r.identity in FLIPPED_FAMILIES and flip_key(r.config) == config_key(r.config)]
+        assert fixed and all(r.identity == "centrality" for r in fixed)
+        assert {config_key(r.config) for r in fixed} <= set(calls["check_centrality"])
+        # a Muir pair whose image is its reversal: one call gives both results
+        muir = [r.config for r in report.results if r.identity == "muir"]
+        reversed_fixed = [c for c in muir if flip_key(c) == (c["n"], tuple(c["K"]), tuple(c["Lprime"]), tuple(c["L"]))]
+        assert reversed_fixed
+        for c in reversed_fixed:
+            n, K, L, Lp = config_key(c)
+            assert {(n, K, L, Lp), (n, K, Lp, L)} & set(calls["check_muir_pair"])
 
 
 class TestGapOne:

@@ -81,6 +81,45 @@ class TestAntitranspose:
                     assert image.antitranspose(n) == minor
 
 
+def flip(e):
+    """The flip ``t[i,j] -> t[n+1-i, n+1-j]``: the transpose of the antitranspose."""
+    return e.antitranspose().transpose()
+
+
+class TestFlip:
+    """README lemma 1a, on which ``identities.run_suite`` derives mirrored results."""
+
+    def test_the_flip_of_a_minor_is_the_minor_of_the_flipped_sets(self):
+        checked = 0
+        for n in (2, 3, 4, 5):
+            for m in range(1, n):
+                for K in combinations(range(1, n + 1), m):
+                    for L in combinations(range(1, n + 1), m):
+                        Ks, Ls = sorted(n + 1 - x for x in K), sorted(n + 1 - x for x in L)
+                        assert flip(quantum_minor(n, K, L)) == quantum_minor(n, Ks, Ls)
+                        checked += 1
+        assert checked == 340  # every proper minor at 2 <= n <= 5
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_the_flip_reverses_products(self, n):
+        rng = random.Random(61 + n)
+
+        def element():
+            words = [tuple((rng.randint(1, n), rng.randint(1, n)) for _ in range(rng.randint(0, 3)))
+                     for _ in range(3)]
+            return Element(n, [(w, LaurentQ({rng.randint(-2, 2): rng.randint(-3, 3)})) for w in words])
+
+        for _ in range(20):
+            a, b = element(), element()
+            assert flip(a * b) == flip(b) * flip(a)
+
+    def test_the_flip_is_the_letter_map(self):
+        n = 4
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                assert flip(t(n, i, j)) == t(n, n + 1 - i, n + 1 - j)
+
+
 class TestSizeBound:
     def test_largest_size_expands(self):
         labels = range(1, MAX_MINOR_SIZE + 1)
