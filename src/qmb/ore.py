@@ -78,20 +78,31 @@ def _times(side: str, a: Element, b: Element) -> Element:
 @lru_cache(maxsize=1024)
 def _minor_power(n: int, minor: MinorId, k: int) -> Element:
     """Cached powers of a minor; witness certification reuses them heavily.
-    A power past the degree cap is refused before any recursion."""
+    A power past the degree cap is refused before any recursion.  ``D^k`` is
+    formed as ``D * D^(k-1)`` (powers of one element commute), so the append
+    entries the product reads are keyed by suffixes of the minor's own short
+    words, not of the power's (README, "The product kernel")."""
     _check_cap(k * minor.size())
     if k == 0:
         return Element.unit(n)
-    return _minor_power(n, minor, k - 1) * minor_element(n, minor)
+    return minor_element(n, minor) * _minor_power(n, minor, k - 1)
 
 
 def _residual(w, scaled: list, cleared: list) -> Element:
     """The two sides of ``w``'s equation subtracted.  ``scaled`` and ``cleared``
     list ``(minor, power)`` factors, whose products ``P`` and ``C`` stand in
     ``scale * P * element == cofactor * C`` (left form) or
-    ``scale * element * P == C * cofactor`` (right form)."""
+    ``scale * element * P == C * cofactor`` (right form).  Both sides are
+    exact normal forms.  The cleared side is walked with the minors on the
+    left: the left form's ``cofactor * C`` is formed as ``τ(τC * τcofactor)``,
+    since the antitranspose ``τ`` is an anti-automorphism and an involution
+    (README lemma 1)."""
     P, C = (reduce(operator.mul, [_minor_power(w.n, m, k) for m, k in pairs]) for pairs in (scaled, cleared))
-    return _times(w.side, P, w.element).scale(w.scale) - _times(w.side, w.cofactor, C)
+    if w.side == LEFT:
+        cleared_side = (C.antitranspose() * w.cofactor.antitranspose()).antitranspose()
+    else:
+        cleared_side = C * w.cofactor
+    return _times(w.side, P, w.element).scale(w.scale) - cleared_side
 
 
 def _json_head(w, schema: str) -> dict:

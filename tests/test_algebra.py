@@ -21,7 +21,7 @@ from qmb.algebra import (
     normal_form,
     reduce_terms,
 )
-from qmb.minors import MinorId, quantum_minor
+from qmb.minors import MinorId, minor_element, quantum_minor
 from qmb.ore import LEFT, witness_generator_constructive
 from qmb.scalars import ONE, Q, QINV, Q_MINUS_QINV, LaurentQ
 
@@ -572,12 +572,17 @@ class TestPackedKernel:
         assert {(64, True), (64, False), (65, False), (1, True), (1, False)} <= seen
 
     def test_append_table_holds_the_invariant(self):
-        """From cold caches, the n = 3 sweep and an n = 4 constructive witness
-        fill the table; every entry's digits lie inside the packing bound and
-        every entry equals the reducer's normal form of its append."""
+        """From cold caches, the n = 3 sweep, an n = 4 constructive witness and
+        the product of its cofactor (degree 9) with the minor on the right fill
+        the table; every entry's digits lie inside the packing bound and every
+        entry equals the reducer's normal form of its append.  The witness's
+        own replay walks the minor on the left, so only the direct product
+        keys entries by suffixes of long words."""
         clear_caches()
         assert identities.run_suite(n_max=3).all_verified()
-        assert witness_generator_constructive(4, MinorId((1, 3), (2, 4)), 2, 3, LEFT).certified
+        w = witness_generator_constructive(4, MinorId((1, 3), (2, 4)), 2, 3, LEFT)
+        assert w.certified
+        assert not (w.cofactor * minor_element(4, w.minor)).is_zero()
         assert len(algebra._APPEND_CACHE) >= 300
         for (word, g), entry in algebra._APPEND_CACHE.items():
             for w, value in entry:

@@ -12,7 +12,7 @@ import pytest
 
 from qmb import algebra, clear_caches, identities, minors, ore
 from qmb.algebra import Element, MultiDegree, basis_monomials
-from qmb.cli import EXIT_PRECONDITION, main
+from qmb.cli import EXIT_CHECK_FAILED, EXIT_PRECONDITION, main
 from qmb.exprparse import parse_element
 from qmb.minors import MinorId, minor_element, quantum_minor
 from qmb.ore import (
@@ -503,6 +503,78 @@ class TestCertifyOnce:
         chain = multi_minor_witness(2, [M22], gen(2, 1, 1), LEFT)
         with pytest.raises(dataclasses.FrozenInstanceError):
             chain.powers = [1]
+
+
+def mirrored(x, C):
+    """``x * C`` walked with ``C`` on the left: ``τ(τC * τx)`` (README lemma 1)."""
+    return (C.antitranspose() * x.antitranspose()).antitranspose()
+
+
+def interior(minor, k, l):
+    """``k`` and ``l`` outside the minor's labels, strictly inside their ranges."""
+    K, L = minor.rows, minor.cols
+    return k not in K and l not in L and K[0] < k < K[-1] and L[0] < l < L[-1]
+
+
+class TestMinorOnTheLeft:
+    """The replay walks each clearance product with the minor on the left: the
+    left form's cleared side ``cofactor * C`` as ``τ(τC * τcofactor)``, and a
+    power ``D^k`` as ``D * D^(k-1)``."""
+
+    def test_every_n3_witness_mirrors_exactly(self):
+        """All 648 n = 3 generator witnesses, both routes and both forms."""
+        n, count = 3, 0
+        for side in SIDES:
+            for minor in PROPER_N3:
+                C = minor_element(n, minor)
+                for k in (1, 2, 3):
+                    for l in (1, 2, 3):
+                        for w in (solve_witness(n, minor, gen(n, k, l), side),
+                                  witness_generator_constructive(n, minor, k, l, side)):
+                            assert mirrored(w.cofactor, C) == w.cofactor * C, (minor, k, l, side)
+                            count += 1
+        assert count == 648
+
+    def test_a_sample_of_n4_left_witnesses_mirrors_exactly(self):
+        """A seeded sample of 200 left-form n = 4 items, on both routes; the
+        interior items, which take seconds each from cold caches, are left out."""
+        items = [(minor, k, l) for minor, k, l, side in proper_items(4) if side == LEFT and not interior(minor, k, l)]
+        for minor, k, l in random.Random(27).sample(items, 200):
+            C = minor_element(4, minor)
+            for w in (solve_witness(4, minor, gen(4, k, l), LEFT),
+                      witness_generator_constructive(4, minor, k, l, LEFT)):
+                assert mirrored(w.cofactor, C) == w.cofactor * C, (minor, k, l)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_minor_powers_equal_the_element_powers(self, n):
+        clear_caches()
+        labels = range(1, n + 1)
+        for m in labels:
+            for K in combinations(labels, m):
+                for L in combinations(labels, m):
+                    minor = MinorId(K, L)
+                    for k in range(4):
+                        assert ore._minor_power(n, minor, k) == minor_element(n, minor) ** k, (minor, k)
+
+    @pytest.mark.parametrize("route", ["solver", "constructive"])
+    def test_a_changed_cofactor_term_fails_the_replay(self, route, tmp_path, capsys):
+        """One coefficient of a left-form cofactor times q: the residual is the
+        directly walked difference of the two sides, it is nonzero, and the
+        witness and its file both fail."""
+        minor = MinorId((1, 3), (1, 3))
+        w = witness_for_element(3, minor, gen(3, 2, 2), LEFT, route)
+        assert len(w.cofactor.terms()) > 1
+        word, coeff = w.cofactor.terms()[1]
+        bad = dataclasses.replace(w, certified=False, cofactor=w.cofactor + Element(3, [(word, coeff * Q - coeff)]))
+        D = minor_element(3, minor)
+        direct = (D ** w.power * w.element).scale(w.scale) - bad.cofactor * D
+        assert bad.residual() == direct and not direct.is_zero()
+        with pytest.raises(CertificateError):
+            bad.certify()
+        path = tmp_path / "witness.json"
+        witness_to_file(bad, str(path))
+        assert main(["verify-witness", str(path)]) == EXIT_CHECK_FAILED
+        assert capsys.readouterr().err.startswith("qmb: ")
 
 
 def test_clear_caches_empties_every_cache():
