@@ -22,7 +22,10 @@ Every normal form comes from one routine, ``_mul_terms``, except that of a
 product with a scalar factor ``{(): c}``: the scalar is central and the other
 factor already normal, so that product is ``scale(c)``.  A product walks
 the right factor's words as a prefix trie, extending the whole left factor
-one generator at a time; a term list, whose words need not be sorted, is the
+one generator at a time, and the walk hands back each right word's state
+``left * v``: a product sums them with the right factor's coefficients, and
+``word_products`` keeps each, which gives the solver all the columns of a
+system from one walk.  A term list, whose words need not be sorted, is the
 right factor of ``1 * terms``.  The walk splits each state word before its
 first letter above the generator: the letters before never move (README
 lemma 5), so they are put back in front of the normal form of the rest times
@@ -62,7 +65,7 @@ import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .scalars import ONE, Q_MINUS_QINV, QINV, LaurentQ, ScalarLike
 
@@ -225,8 +228,8 @@ def _append_gen(word: Word, g: Gen) -> tuple[tuple[Word, Packed], ...]:
         out = tuple((w + (x,), cf) for w, cf in _append_gen(p, g))
     else:
         acc: dict[Word, Packed] = {w + (x,): cf for w, cf in _append_gen(p, g)}
-        corr = _walk({p: _P_ONE}, {((c, b), (a, d)): (-1, _QINV_MINUS_Q)}, _append_gen, _add_scaled, _check_state)
-        _add_scaled(acc, corr.items(), _P_ONE)
+        for _, corr in _walk({p: _P_ONE}, (((c, b), (a, d)),), _append_gen, _add_scaled, _check_state):
+            _add_scaled(acc, corr.items(), (-1, _QINV_MINUS_Q))
         _check(acc.values())
         out = tuple(sorted((w, _shared(v)) for w, v in acc.items()))
     _APPEND_CACHE[key] = out
@@ -284,22 +287,25 @@ def _check_state(state: dict[Word, Packed]) -> None:
     _check(state.values())
 
 
-def _walk(left: dict, right: dict, entry, add, check=None) -> dict:
-    """``left * right`` by the right factor's prefix trie, in either
-    arithmetic: ``entry(w, g)`` is the append entry of ``(w, g)`` and
-    ``add(acc, terms, c, pre)`` is ``acc += c * pre * terms``.  ``check``, if
-    given, is called on every state formed.  A state word ``w`` is split at
-    ``k = bisect_right(w, g)``: ``w[:k]`` never moves (README lemma 5), so the
-    entry read is that of the suffix ``w[k:]``, empty when ``w g`` is sorted.
+def _walk(left: dict, words: Iterable[Word], entry, add, check=None):
+    """Yield ``(v, left * v)`` for each word ``v`` of ``words``, in sorted
+    order and in either arithmetic: ``entry(w, g)`` is the append entry of
+    ``(w, g)`` and ``add(acc, terms, c, pre)`` is ``acc += c * pre * terms``.
+    ``check``, if given, is called on every state formed.  A state word ``w``
+    is split at ``k = bisect_right(w, g)``: ``w[:k]`` never moves (README
+    lemma 5), so the entry read is that of the suffix ``w[k:]``, empty when
+    ``w g`` is sorted.
 
-    The right factor's words are visited in sorted order, so words that share
-    a prefix are adjacent.  The walk holds the states ``(prefix, left *
-    prefix)`` along the current word; a state is extended one generator at a
-    time, and every shared prefix is multiplied once.
+    The words are visited in sorted order, so words that share a prefix are
+    adjacent.  The walk holds the states ``(prefix, left * prefix)`` along the
+    current word; a state is extended one generator at a time, and every
+    shared prefix is multiplied once.  Every extension is a new dict, so a
+    state handed back never changes: ``_mul_terms`` sums the states with the
+    right factor's coefficients (``_total``), ``word_products`` keeps each
+    one (``_each``).
     """
-    acc: dict = {}
     stack: list[tuple[Word, dict]] = [((), left)]
-    for v in sorted(right):
+    for v in sorted(words):
         while stack[-1][0] != v[: len(stack[-1][0])]:
             stack.pop()
         prefix, state = stack[-1]
@@ -312,15 +318,31 @@ def _walk(left: dict, right: dict, entry, add, check=None) -> dict:
                 check(nxt)
             prefix, state = prefix + (g,), nxt
             stack.append((prefix, state))
-        add(acc, state.items(), right[v])
-    return acc
+        yield v, state
 
 
-def _fallback(left: dict[Word, LaurentQ], right: dict[Word, LaurentQ]) -> dict[Word, LaurentQ]:
-    """Normal form of ``left * right`` by ``_walk`` on ``LaurentQ``, exact on
+def _same(cf: LaurentQ) -> LaurentQ:
+    return cf
+
+
+def _total(states, coeffs: dict, add, unpack=_same) -> dict:
+    """The sum of a walk's states, each times its word's coefficient in ``coeffs``."""
+    acc: dict = {}
+    for v, state in states:
+        add(acc, state.items(), coeffs[v])
+    return {w: unpack(cf) for w, cf in acc.items()}
+
+
+def _each(states, coeffs: dict, add, unpack=_same) -> dict:
+    """Each of a walk's states by its word, unpacked; ``coeffs`` are not read."""
+    return {v: {w: unpack(cf) for w, cf in state.items()} for v, state in states}
+
+
+def _fallback(left: dict[Word, LaurentQ], words: Iterable[Word]):
+    """The walk of ``left`` by ``words`` (``_walk``) on ``LaurentQ``, exact on
     any coefficients.  Table entries are read unpacked.  An entry outside the
     invariant has ``word[-1] > g`` (an append that stays sorted always packs);
-    it is formed, for this product only, by the same walk as ``word[:-1]``
+    it is formed, for this walk only, by the same walk as ``word[:-1]``
     times the normal form of ``word[-1] g``, read from ``rewrite_pair``."""
     memo: dict = {}
 
@@ -331,32 +353,51 @@ def _fallback(left: dict[Word, LaurentQ], right: dict[Word, LaurentQ]) -> dict[W
                 out = tuple((w, _unpack(v)) for w, v in _append_gen(word, g))
             except _Unpackable:
                 pair = {p: c for c, p in rewrite_pair(word[-1], g)}
-                out = tuple(_walk({word[:-1]: ONE}, pair, entry, _add_exact).items())
+                out = tuple(_total(_walk({word[:-1]: ONE}, pair, entry, _add_exact), pair, _add_exact).items())
             memo[(word, g)] = out
         return out
 
-    return _walk(left, right, entry, _add_exact)
+    return _walk(left, words, entry, _add_exact)
 
 
-def _mul_terms(left: dict[Word, LaurentQ], right: dict[Word, LaurentQ]) -> dict[Word, LaurentQ]:
-    """Normal form of ``left * right``, where only ``left``'s words need be
-    sorted: packed, walked with the append table and ``_check_state``, and
-    unpacked, or walked again on ``LaurentQ`` by ``_fallback`` if the product
-    leaves the packing invariant anywhere.  An append recurses once per
-    letter of the suffix it is given, the letters above the generator, so a
-    suffix past Python's recursion limit raises ``DegreeCapError``."""
+def _kernel(left: dict[Word, LaurentQ], right: dict[Word, LaurentQ], fold) -> dict:
+    """``fold(states, coeffs, add, unpack)`` on the walk of ``left`` by the
+    words of ``right``, where only ``left``'s words need be sorted: packed,
+    with the append table and ``_check_state``, or, if that walk leaves the
+    packing invariant anywhere, again on ``LaurentQ`` by ``_fallback``.  An
+    append recurses once per letter of the suffix it is given, the letters
+    above the generator, so a suffix past Python's recursion limit raises
+    ``DegreeCapError``."""
     try:
         try:
             if max(len(left), len(right)) >= _MAX_TERMS:
                 raise _Unpackable
-            acc = _walk({w: _pack(cf) for w, cf in left.items()}, {v: _pack(cf) for v, cf in right.items()},
-                        _append_gen, _add_scaled, _check_state)
+            coeffs = {v: _pack(cf) for v, cf in right.items()}
+            states = _walk({w: _pack(cf) for w, cf in left.items()}, coeffs, _append_gen, _add_scaled, _check_state)
+            return fold(states, coeffs, _add_scaled, _unpack)
         except _Unpackable:
-            return _fallback(left, right)
+            return fold(_fallback(left, right), right, _add_exact)
     except RecursionError:
         deg = max(map(len, left)) + max(map(len, right))
         raise DegreeCapError(f"normal-form degree {deg} exceeds the rewrite's recursion depth") from None
-    return {w: _unpack(v) for w, v in acc.items()}
+
+
+def _mul_terms(left: dict[Word, LaurentQ], right: dict[Word, LaurentQ]) -> dict[Word, LaurentQ]:
+    """Normal form of ``left * right``, where only ``left``'s words need be
+    sorted: the states of one walk, summed with ``right``'s coefficients."""
+    return _kernel(left, right, _total)
+
+
+def word_products(left: "Element", words: Sequence[Word]) -> dict[Word, "Element"]:
+    """``left * v`` for each sorted word ``v`` of ``words``, by word: the
+    states of one walk, so ``left`` is packed once and a prefix that words
+    share is walked once.  The cap is checked as ``Element.__mul__`` checks
+    it, on ``left``'s degree plus the longest word's length, before any walk;
+    the size checks and the fallback are those of every product."""
+    if not left._t or not words:
+        return {v: Element.zero(left.n) for v in words}
+    _check_cap(left.degree() + max(map(len, words)))
+    return {v: Element._make(left.n, t) for v, t in _kernel(left._t, dict.fromkeys(words, ONE), _each).items()}
 
 
 # Kept, unfilled and delegating, only because the benchmark's tracer reads
@@ -639,6 +680,14 @@ class Element:
     def transpose(self) -> "Element":
         """Image under the index swap ``t[i,j] -> t[j,i]`` (an algebra map)."""
         return self._relabel(lambda g: (g[1], g[0]))
+
+    def flip(self) -> "Element":
+        """Image under the flip ``t[i,j] -> t[n+1-i, n+1-j]`` with every word
+        reversed (README lemma 1a): an anti-automorphism and an involution.
+        The flip reverses the order of the letters, so the reversed image of a
+        sorted word is sorted, and nothing is sorted."""
+        m = self.n + 1
+        return Element._make(self.n, {tuple([(m - i, m - j) for i, j in reversed(w)]): c for w, c in self._t.items()})
 
     def antitranspose(self) -> "Element":
         """Image under ``t[i,j] -> t[n+1-j, n+1-i]`` with word reversal.

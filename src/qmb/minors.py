@@ -61,6 +61,11 @@ class MinorId:
         ``x`` becomes ``n + 1 - x``."""
         return MinorId(sorted(n + 1 - x for x in self.cols), sorted(n + 1 - x for x in self.rows))
 
+    def flip(self, n: int) -> "MinorId":
+        """The minor whose element is this one's image under ``Element.flip``:
+        each label ``x`` becomes ``n + 1 - x`` (README lemma 1a)."""
+        return MinorId(tuple(n + 1 - x for x in reversed(self.rows)), tuple(n + 1 - x for x in reversed(self.cols)))
+
 
 def inversions(perm: Sequence[int]) -> int:
     count = 0

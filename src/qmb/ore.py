@@ -44,7 +44,7 @@ from functools import lru_cache, partial, reduce
 from itertools import count
 from typing import Optional, Sequence
 
-from .algebra import Element, _check_cap, basis_monomials, commutator
+from .algebra import Element, _check_cap, basis_monomials, commutator, word_products
 from .exprparse import ExprSyntaxError, parse_element, parse_laurent
 from .identities import commutator_terms, gap_correction_terms, generator_position
 from .linalg import solve_linear
@@ -88,21 +88,32 @@ def _minor_power(n: int, minor: MinorId, k: int) -> Element:
     return minor_element(n, minor) * _minor_power(n, minor, k - 1)
 
 
+def _minor_first(n: int, pairs: list, x: Element, on_left: bool) -> Element:
+    """``P * x`` when ``on_left``, else ``x * P``, for ``P`` the product of the
+    ``(minor, power)`` factors ``pairs`` in order, walked with a minor power
+    on the left either way: ``x * P`` is formed as ``flip(flip(P) * flip(x))``.
+    The flip is an anti-automorphism and an involution that maps ``D[K,L]`` to
+    ``D[K*,L*]`` (README lemma 1a), so ``flip(P)`` is the product of the
+    cached powers of the flipped minors in reverse order, and no minor power
+    is relabelled."""
+    if on_left:
+        return reduce(operator.mul, [_minor_power(n, m, k) for m, k in pairs]) * x
+    flipped = reduce(operator.mul, [_minor_power(n, m.flip(n), k) for m, k in reversed(pairs)])
+    return (flipped * x.flip()).flip()
+
+
 def _residual(w, scaled: list, cleared: list) -> Element:
-    """The two sides of ``w``'s equation subtracted.  ``scaled`` and ``cleared``
-    list ``(minor, power)`` factors, whose products ``P`` and ``C`` stand in
+    """The two sides of ``w``'s equation subtracted: zero when they are equal,
+    their exact difference otherwise.  ``scaled`` and ``cleared`` list
+    ``(minor, power)`` factors, whose products ``P`` and ``C`` stand in
     ``scale * P * element == cofactor * C`` (left form) or
     ``scale * element * P == C * cofactor`` (right form).  Both sides are
-    exact normal forms.  The cleared side is walked with the minors on the
-    left: the left form's ``cofactor * C`` is formed as ``τ(τC * τcofactor)``,
-    since the antitranspose ``τ`` is an anti-automorphism and an involution
-    (README lemma 1)."""
-    P, C = (reduce(operator.mul, [_minor_power(w.n, m, k) for m, k in pairs]) for pairs in (scaled, cleared))
-    if w.side == LEFT:
-        cleared_side = (C.antitranspose() * w.cofactor.antitranspose()).antitranspose()
-    else:
-        cleared_side = C * w.cofactor
-    return _times(w.side, P, w.element).scale(w.scale) - cleared_side
+    exact normal forms, each walked minor first (:func:`_minor_first`): the
+    right form's scaled side and the left form's cleared side through the
+    flip (README, "The product kernel", orientation)."""
+    lhs = _minor_first(w.n, scaled, w.element, w.side == LEFT).scale(w.scale)
+    rhs = _minor_first(w.n, cleared, w.cofactor, w.side == RIGHT)
+    return Element.zero(w.n) if lhs == rhs else lhs - rhs
 
 
 def _json_head(w, schema: str) -> dict:
@@ -191,11 +202,11 @@ def _solve_at_power(n: int, minor: MinorId, element: Element, side: str, m: int)
     if side == LEFT:
         minor, element = minor.antitranspose(n), element.antitranspose()
     transposed = MinorId(minor.cols, minor.rows), element.transpose()
-    flip = _question_key(*transposed) < _question_key(minor, element)
-    cofactor, record = _solve_right(n, *(transposed if flip else (minor, element)), m)
+    swap = _question_key(*transposed) < _question_key(minor, element)
+    cofactor, record = _solve_right(n, *(transposed if swap else (minor, element)), m)
     if cofactor is None:
         return None, dict(record)
-    if flip:
+    if swap:
         cofactor = cofactor.transpose()
     return cofactor.antitranspose() if side == LEFT else cofactor, None
 
@@ -206,16 +217,22 @@ def _question_key(minor: MinorId, element: Element) -> tuple:
 
 @lru_cache(maxsize=1024)
 def _solve_right(n: int, minor: MinorId, element: Element, m: int):
-    """The right-form system at power ``m``: the cofactor, or None and the record."""
+    """The right-form system ``e * D^m == D * x`` at power ``m``: the cofactor,
+    or None and the record.  The target ``e * D^m`` is walked minor first
+    (:func:`_minor_first`), and the columns ``D * b``, one per basis word, are
+    the states of one walk of ``D`` by the whole basis
+    (:func:`qmb.algebra.word_products`), so ``D`` is packed once per system
+    and a prefix that basis words share is walked once."""
     D = minor_element(n, minor)
-    target = element * _minor_power(n, minor, m)
+    target = _minor_first(n, [(minor, m)], element, False)
     x_deg = target.multidegree().minus(D.multidegree())  # (m - 1) deg D + deg e: never negative
     # heaviest first (``t[i,j]`` weighs i*j; a stable sort) is the pivot order
     # the solver requires: by README lemma 2(c) no later column touches the
     # leading word of ``D * b``
     basis = sorted(basis_monomials(n, x_deg.rows, x_deg.cols),
                    key=lambda w: sum(i * j for i, j in w), reverse=True)
-    columns = [(D * Element._make(n, {b: ONE}))._t for b in basis]
+    products = word_products(D, basis)
+    columns = [products[b]._t for b in basis]
     sol = solve_linear(columns, target._t)
     if not sol.consistent:
         return None, {"power": m, "reason": "inconsistent linear system", "rank": sol.rank,

@@ -219,6 +219,8 @@ class LaurentQ:
     # -- structure ---------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
+        if type(other) is LaurentQ:
+            return self._terms == other._terms
         if isinstance(other, (int, Fraction)):
             other = LaurentQ(other)
         if not isinstance(other, LaurentQ):

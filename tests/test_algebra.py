@@ -8,7 +8,7 @@ from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 
-from qmb import algebra, clear_caches, identities
+from qmb import algebra, clear_caches, identities, ore
 from qmb.algebra import (
     ContextMismatchError,
     DegreeCapError,
@@ -22,7 +22,7 @@ from qmb.algebra import (
     reduce_terms,
 )
 from qmb.minors import MinorId, minor_element, quantum_minor
-from qmb.ore import LEFT, witness_generator_constructive
+from qmb.ore import LEFT, SIDES, solve_witness, witness_generator_constructive
 from qmb.scalars import ONE, Q, QINV, Q_MINUS_QINV, LaurentQ
 
 
@@ -763,6 +763,120 @@ class TestTranspose:
         x = rand_element(rng, 3)
         assert x.transpose().transpose() == x
         assert x.antitranspose().antitranspose() == x
+
+
+def flip_sample(seed):
+    """Seeded elements at n <= 5 for the flip: random sums, a rational
+    multiple, a minor, a minor's square and a scalar."""
+    rng = random.Random(seed)
+    out = []
+    for n in (1, 2, 3, 4, 5):
+        K = tuple(sorted(rng.sample(range(1, n + 1), (n + 1) // 2)))
+        L = tuple(sorted(rng.sample(range(1, n + 1), len(K))))
+        out += [rand_element(rng, n, 4, 4) for _ in range(6)]
+        out += [rand_element(rng, n).scale(Fraction(2, 5)), quantum_minor(n, K, L),
+                quantum_minor(n, K, L) ** 2, Element.scalar(n, 1 - Q)]
+    return [x for x in out if not x.is_zero()]
+
+
+class TestFlip:
+    """``Element.flip``: ``t[i,j] -> t[n+1-i, n+1-j]`` with every word
+    reversed (README lemma 1a), formed without sorting."""
+
+    def test_the_flip_is_the_transpose_of_the_antitranspose(self):
+        xs = flip_sample(83)
+        assert {x.n for x in xs} == {1, 2, 3, 4, 5}
+        for x in xs:
+            y = x.flip()
+            assert y == x.antitranspose().transpose()
+            assert all(list(w) == sorted(w) for w in y._t)
+            assert y.flip() == x
+
+    def test_the_flip_reverses_products(self):
+        rng = random.Random(89)
+        for n in (2, 3, 4):
+            for _ in range(25):
+                x, y = rand_element(rng, n), rand_element(rng, n)
+                assert (x * y).flip() == y.flip() * x.flip()
+        for n, rows, cols in ((3, (1, 2), (2, 3)), (4, (1, 3), (2, 4))):
+            D = quantum_minor(n, rows, cols)
+            x = rand_element(rng, n, 4, 4)
+            assert (x * D).flip() == D.flip() * x.flip()
+            assert D.flip() == quantum_minor(n, *(tuple(n + 1 - v for v in reversed(s)) for s in (rows, cols)))
+
+
+@pytest.fixture
+def systems(monkeypatch):
+    """Every ``(D, basis, columns)`` the solver builds, recorded through its
+    module global ``word_products``."""
+    calls = []
+    build = algebra.word_products
+
+    def record(D, basis):
+        out = build(D, basis)
+        calls.append((D, basis, out))
+        return out
+
+    monkeypatch.setattr(ore, "word_products", record)
+    clear_caches()
+    return calls
+
+
+class TestWordProducts:
+    """``word_products`` gives ``D * b`` for every basis word ``b`` of a
+    system from one walk; each one equals the product formed alone."""
+
+    @staticmethod
+    def assert_columns(D, basis, columns):
+        assert columns.keys() == set(basis) and len(set(basis)) == len(basis)
+        for b in basis:
+            assert columns[b] == D * Element._make(D.n, {b: ONE}), (D, b)
+
+    @staticmethod
+    def items(n):
+        labels = range(1, n + 1)
+        return [(MinorId(K, L), k, l, side) for m in range(1, n) for K in combinations(labels, m)
+                for L in combinations(labels, m) for k in labels for l in labels for side in SIDES]
+
+    def test_every_n3_system(self, systems):
+        for minor, k, l, side in self.items(3):
+            solve_witness(3, minor, t(3, k, l), side)
+        assert len(systems) == 114
+        for D, basis, columns in systems:
+            self.assert_columns(D, basis, columns)
+
+    def test_a_seeded_n4_sample(self, systems):
+        def interior(minor, k, l):  # seconds each from cold caches
+            K, L = minor.rows, minor.cols
+            return k not in K and l not in L and K[0] < k < K[-1] and L[0] < l < L[-1]
+
+        items = [it for it in self.items(4) if not interior(*it[:3])]
+        for minor, k, l, side in random.Random(97).sample(items, 150):
+            solve_witness(4, minor, t(4, k, l), side)
+        assert len(systems) > 100
+        assert max(len(basis) for _, basis, _ in systems) > 20
+        for D, basis, columns in systems:
+            self.assert_columns(D, basis, columns)
+
+    @pytest.mark.parametrize("c", [2**20, Fraction(1, 3)], ids=["bound", "rational"])
+    def test_a_system_outside_the_invariant_is_walked_exactly(self, fallbacks, c):
+        D = quantum_minor(3, (1, 3), (1, 3)).scale(c)
+        basis = basis_monomials(3, (1, 2, 1), (2, 1, 1))
+        del fallbacks[:]
+        columns = algebra.word_products(D, basis)
+        assert len(fallbacks) == 1
+        self.assert_columns(D, basis, columns)
+
+    def test_the_cap_is_checked_as_for_a_product(self, monkeypatch):
+        D = quantum_minor(3, (1, 2), (1, 2))
+        monkeypatch.setenv("QMB_MAX_DEGREE", "3")
+        for words in ([((1, 1), (3, 3))], [((1, 1),), ((2, 2), (3, 3))]):
+            with pytest.raises(DegreeCapError):
+                algebra.word_products(D, words)
+            with pytest.raises(DegreeCapError):
+                D * Element._make(3, {words[-1]: ONE})
+        assert algebra.word_products(D, [((3, 3),)]) == {((3, 3),): D * t(3, 3, 3)}
+        assert algebra.word_products(D, []) == {}
 
 
 class TestSpecialize:

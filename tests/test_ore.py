@@ -518,8 +518,78 @@ def interior(minor, k, l):
 
 class TestMinorOnTheLeft:
     """The replay walks each clearance product with the minor on the left: the
-    left form's cleared side ``cofactor * C`` as ``τ(τC * τcofactor)``, and a
-    power ``D^k`` as ``D * D^(k-1)``."""
+    right form's scaled side ``e * P`` as ``flip(flip(P) * flip(e))``, the left
+    form's cleared side ``cofactor * C`` as ``flip(flip(C) * flip(cofactor))``,
+    and a power ``D^k`` as ``D * D^(k-1)``."""
+
+    def test_every_n3_flip_walked_side_equals_the_direct_product(self):
+        """All 648 n = 3 generator witnesses, both routes and both forms: the
+        side walked through the flip equals the product walked directly."""
+        n, count = 3, 0
+        for side in SIDES:
+            for minor in PROPER_N3:
+                D = minor_element(n, minor)
+                for k in (1, 2, 3):
+                    for l in (1, 2, 3):
+                        for w in (solve_witness(n, minor, gen(n, k, l), side),
+                                  witness_generator_constructive(n, minor, k, l, side)):
+                            if side == RIGHT:
+                                got, want = ore._minor_first(n, [(minor, w.power)], w.element, False), w.element * D ** w.power
+                            else:
+                                got, want = ore._minor_first(n, [(minor, 1)], w.cofactor, False), w.cofactor * D
+                            assert got == want, (minor, k, l, side)
+                            count += 1
+        assert count == 648
+
+    @pytest.mark.parametrize("route", ["solver", "constructive"])
+    def test_a_changed_right_form_cofactor_term_fails_the_replay(self, route, tmp_path, capsys):
+        """One coefficient of a right-form cofactor times q: the residual is
+        the directly walked difference of the two sides, it is nonzero, and
+        the witness and its file both fail."""
+        minor = MinorId((1, 3), (1, 3))
+        w = witness_for_element(3, minor, gen(3, 2, 2), RIGHT, route)
+        assert len(w.cofactor.terms()) > 1 and w.power > 1
+        word, coeff = w.cofactor.terms()[1]
+        bad = dataclasses.replace(w, certified=False, cofactor=w.cofactor + Element(3, [(word, coeff * Q - coeff)]))
+        D = minor_element(3, minor)
+        direct = (w.element * D ** w.power).scale(w.scale) - D * bad.cofactor
+        assert bad.residual() == direct and not direct.is_zero()
+        with pytest.raises(CertificateError):
+            bad.certify()
+        path = tmp_path / "witness.json"
+        witness_to_file(bad, str(path))
+        assert main(["verify-witness", str(path)]) == EXIT_CHECK_FAILED
+        assert capsys.readouterr().err.startswith("qmb: ")
+
+    @pytest.mark.parametrize("side", SIDES)
+    def test_a_two_minor_chain_replays_in_both_forms(self, side):
+        """``D[{1,3},{1,3}]`` and ``t[2,3]`` do not commute, so ``flip(P)`` and
+        ``flip(C)`` hold the flipped minors' powers in reverse order.  The
+        chain replays to zero, its flip-walked side equals the direct product,
+        and a changed cofactor leaves the direct difference."""
+        n, minors = 3, [MinorId((1, 3), (1, 3)), MinorId((2,), (3,))]
+        D1, D2 = (minor_element(n, m) for m in minors)
+        assert D1 * D2 != D2 * D1
+        chain = multi_minor_witness(n, minors, gen(n, 2, 2), side, "solver")
+        assert chain.certified and chain.residual().is_zero() and max(chain.powers) == 3
+        a1, a2 = chain.powers
+        P, C, X = D1 ** a1 * D2 ** a2, D1 * D2, chain.cofactor
+        if side == LEFT:
+            got, want = ore._minor_first(n, [(m, 1) for m in minors], X, False), X * C
+            assert (P * chain.element).scale(chain.scale) == want
+        else:
+            got, want = ore._minor_first(n, list(zip(minors, chain.powers)), chain.element, False), chain.element * P
+            assert want.scale(chain.scale) == C * X
+        assert got == want
+        last = chain.links[-1]
+        word, coeff = last.cofactor.terms()[0]
+        bad = dataclasses.replace(chain, links=chain.links[:-1] + [dataclasses.replace(
+            last, certified=False, cofactor=last.cofactor + Element(n, [(word, coeff * Q - coeff)]))])
+        if side == LEFT:
+            direct = (P * chain.element).scale(chain.scale) - bad.cofactor * C
+        else:
+            direct = (chain.element * P).scale(chain.scale) - C * bad.cofactor
+        assert bad.residual() == direct and not direct.is_zero()
 
     def test_every_n3_witness_mirrors_exactly(self):
         """All 648 n = 3 generator witnesses, both routes and both forms."""

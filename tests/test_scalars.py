@@ -213,6 +213,26 @@ class TestFastPaths:
             assert typed(a * b) == typed(LaurentQ(times))
             assert typed(LaurentQ(list(a.terms) + list(b.terms))) == typed(LaurentQ(plus))
 
+    def test_equality_matches_the_general_path(self):
+        """``==`` takes a LaurentQ operand first; against int, Fraction and
+        LaurentQ operands, either way round, it answers as the general path:
+        the term tuples of the operand coerced to a LaurentQ."""
+        def general(a, x):
+            return a.terms == (x if isinstance(x, LaurentQ) else LaurentQ(x)).terms
+
+        rng = random.Random(15)
+        for _ in range(300):
+            a = self.rand_laurent(rng, 2)
+            c = dict(a.terms).get(0, 0) if len(a.terms) < 2 else rng.randint(-3, 3)
+            for x in (c, Fraction(c), Fraction(rng.randint(-5, 5), rng.randint(1, 3)), LaurentQ(c),
+                      LaurentQ(dict(a.terms)), self.rand_laurent(rng, 2)):
+                assert (a == x) is (x == a) is general(a, x)
+                assert (a != x) is (x != a) is (not general(a, x))
+        assert ONE == 1 and 1 == ONE and LaurentQ({0: Fraction(1, 2)}) == Fraction(1, 2)
+        assert ONE == QRational(ONE) and QRational(Q) == Q and Q != QRational(ONE)
+        for other in (1.0, "1", None, (0, 1)):
+            assert ONE != other and not (ONE == other)
+
     def test_other_operands_are_left_to_their_own_type(self):
         a = Q + ONE
         for other in (1.5, "q", [1], object(), None):
