@@ -23,18 +23,23 @@ The resolved conventions the sweep discovers, for reference:
 * the general-gap identity holds with the correction row equal to the row
   of the commuted generator and replaced column sets re-sorted.
 
-:func:`run_suite` checks one centrality, q-commutation and Muir
-configuration per orbit of the flip ``t[i,j] -> t[n+1-i, n+1-j]`` (README,
-lemma 1a) and derives the result at the image of each verified one by
-relabelling (:func:`_flipped`); a failed result is never mirrored, so its
-image is checked directly, as is every fixed point of the flip.
+:func:`run_suite` checks one centrality and q-commutation configuration per
+orbit of the group {1, T, F, tau} (README, lemmas 1 and 1a): the transpose T
+``t[i,j] -> t[j,i]``, the flip F ``t[i,j] -> t[n+1-i, n+1-j]`` and the
+antitranspose tau = T F.  It checks one Muir configuration per orbit of the
+flip alone: T and tau map a column interchange to a row interchange, which
+the sweep does not make.  The result at each image of a verified one is
+derived by relabelling (:class:`_Symmetry`: one relabelling of the
+configuration and one geometry table per map; T keeps the exponent, F and
+tau negate it).  A failed result is never mirrored, so every image in its
+orbit is checked directly, as is every fixed point of the group.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations, product
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .algebra import Element, commutator
 from .minors import column_replace, qcommutation_exponent, qcommutation_probe, quantum_minor, quantum_minor_columns
@@ -400,36 +405,76 @@ def _minor_shapes(n_max: int, size_cap: Optional[int]):
                     yield n, K, L
 
 
-# The flip reverses every label order: below <-> above, removed<added <-> removed>added.
-_FLIPPED_GEOMETRY = {
-    "row-outside-below": "row-outside-above", "row-outside-above": "row-outside-below",
-    "col-outside-below": "col-outside-above", "col-outside-above": "col-outside-below",
-    "removed<added": "removed>added", "removed>added": "removed<added",
-}
+# -- the symmetry group {1, T, F, tau} on the swept results ----------------------
 
 
-def _flipped(res: CheckResult) -> CheckResult:
-    """The result at the flip image of a verified centrality, q-commutation or
-    Muir result: every label ``x`` becomes ``n+1-x``.  The flip is an
-    anti-automorphism mapping ``D[K,L]`` to ``D[K*,L*]`` (README, lemma 1a), so
-    ``a b = q^e b a`` becomes ``b* a* = q^e a* b*``: the exponent is negated."""
-    n = res.config["n"]
-    cfg = {key: v if key == "n" else n + 1 - v if type(v) is int else sorted(n + 1 - x for x in v)
-           for key, v in res.config.items()}
-    conv = res.convention and {"geometry": _FLIPPED_GEOMETRY[res.convention["geometry"]],
-                               "exponent": -res.convention["exponent"]}
-    return CheckResult(res.identity, cfg, VERIFIED, Element.zero(n), conv)
+def _transposed(cfg: dict) -> dict:
+    """T, ``t[i,j] -> t[j,i]``, on a generator configuration: ``D[K,L]``
+    becomes ``D[L,K]``, so ``(K, L, k, l)`` becomes ``(L, K, l, k)``."""
+    return {"n": cfg["n"], "K": list(cfg["L"]), "L": list(cfg["K"]), "k": cfg["l"], "l": cfg["k"]}
 
 
-def _mirror(pending: dict, res: CheckResult) -> None:
-    """File the flip image of a verified ``res`` in ``pending``, unless a result
-    is filed there already (the reversed pair of a Muir pair that its own
-    flip reverses)."""
-    if res.status == VERIFIED:
-        image = _flipped(res)
+def _flipped(cfg: dict) -> dict:
+    """F = T tau, ``t[i,j] -> t[n+1-i, n+1-j]``, on any configuration: every
+    label ``x`` becomes ``n+1-x`` (README, lemma 1a)."""
+    n = cfg["n"]
+    return {key: v if key == "n" else n + 1 - v if type(v) is int else sorted(n + 1 - x for x in v)
+            for key, v in cfg.items()}
+
+
+def _swaps(*pairs: tuple[str, str]) -> dict:
+    return {a: b for pair in pairs for a, b in (pair, pair[::-1])}
+
+
+class _Symmetry:
+    """A map of the group on verified results: ``relabel`` maps the
+    configuration, ``geometry`` the recorded geometry, and ``sign`` is the
+    exponent's: ``+1`` for an automorphism, ``-1`` for an anti-automorphism,
+    which reverses the two products of ``a b = q^e b a``."""
+
+    __slots__ = ("relabel", "geometry", "sign")
+
+    def __init__(self, relabel: Callable[[dict], dict], geometry: dict, sign: int):
+        self.relabel, self.geometry, self.sign = relabel, geometry, sign
+
+    def after(self, first: "_Symmetry") -> "_Symmetry":
+        """This map after ``first``, on the geometries both tables hold."""
+        return _Symmetry(lambda cfg: self.relabel(first.relabel(cfg)),
+                         {g: self.geometry[h] for g, h in first.geometry.items() if h in self.geometry},
+                         self.sign * first.sign)
+
+    def convention(self, conv: Optional[dict]) -> Optional[dict]:
+        return conv and {"geometry": self.geometry[conv["geometry"]], "exponent": self.sign * conv["exponent"]}
+
+
+# T swaps rows and columns and keeps every label order and every product's order.
+_TRANSPOSE = _Symmetry(_transposed, _swaps(("row-outside-below", "col-outside-below"),
+                                           ("row-outside-above", "col-outside-above")), 1)
+# F reverses every label order (below <-> above, removed<added <-> removed>added) and every product.
+_FLIP = _Symmetry(_flipped, _swaps(("row-outside-below", "row-outside-above"),
+                                   ("col-outside-below", "col-outside-above"),
+                                   ("removed<added", "removed>added")), -1)
+# tau = T F, an anti-automorphism: below <-> above and row-* <-> col-*
+_ANTITRANSPOSE = _TRANSPOSE.after(_FLIP)
+
+# The maps a verified result is filed under.  T and tau take a Muir pair (a
+# column interchange) to a row interchange, which the sweep does not make.
+_GENERATOR_IMAGES = (_TRANSPOSE, _FLIP, _ANTITRANSPOSE)
+_MUIR_IMAGES = (_FLIP,)
+
+
+def _mirror(pending: dict, res: CheckResult, symmetries: Sequence[_Symmetry]) -> None:
+    """File the image of ``res`` under each of ``symmetries`` in ``pending``,
+    unless a result or a marker is filed there already.  A failed ``res``
+    files the marker None at each image instead, so each is checked
+    directly and no verified image is filed over it later."""
+    for symmetry in symmetries:
+        cfg = symmetry.relabel(res.config)
         # the sweep's key: the configuration's values in order, lists as tuples
-        key = tuple(tuple(v) if type(v) is list else v for v in image.config.values())
-        pending.setdefault(key, image)
+        key = tuple(tuple(v) if type(v) is list else v for v in cfg.values())
+        if key not in pending:
+            pending[key] = None if res.status != VERIFIED else CheckResult(
+                res.identity, cfg, VERIFIED, Element.zero(cfg["n"]), symmetry.convention(res.convention))
 
 
 MEMBERSHIP_N_MAX = 3
@@ -444,11 +489,14 @@ def run_suite(n_max: int = 4, size_cap: Optional[int] = 3, include_membership: b
     checks range over words in the letters of the minor's own submatrix, the
     case the main localization argument consumes.
 
-    The centrality, q-commutation and Muir checks are made once per orbit of
-    the flip ``t[i,j] -> t[n+1-i, n+1-j]``: each verified result files its
-    image in ``pending``, which the sweep reads when it reaches that
-    configuration.  A failed result files none, so its image is checked
-    directly; so is every fixed point of the flip.  The two products of a
+    The centrality and q-commutation checks are made once per orbit of the
+    group {1, T, F, tau}: the transpose T, the flip F and the antitranspose
+    tau.  Each verified result files its images under all three in
+    ``pending``, which the sweep reads when it reaches that configuration.
+    A failed result files the marker None instead, so every image in its
+    orbit is checked directly; so is every fixed point of the group.  The
+    Muir checks are made once per orbit of the flip alone, since T and tau
+    map a column interchange to a row interchange: the two products of a
     Muir pair give the results of ``(L, L')`` and ``(L', L)``, and the flip
     images of both.  The report is the one that checking every configuration
     directly gives.
@@ -463,10 +511,12 @@ def run_suite(n_max: int = 4, size_cap: Optional[int] = 3, include_membership: b
         }
     )
     results = report.results
-    # results filed ahead, keyed by configuration: flip images and reversed Muir
-    # pairs.  The image of a fixed point (or of a result whose image failed
-    # earlier) is filed after its configuration was swept, and never read.
-    pending: dict[tuple, CheckResult] = {}
+    # results filed ahead, keyed by configuration: the images of verified
+    # results, reversed Muir pairs, and None at the images of a failed result.
+    # An image the sweep has passed (a fixed point's own configuration, or an
+    # earlier member of the orbit of a result checked after a failure) is
+    # filed too, and never read.
+    pending: dict[tuple, Optional[CheckResult]] = {}
     for n, K, L in _minor_shapes(n_max, size_cap):
         for k in range(1, n + 1):
             for l in range(1, n + 1):
@@ -486,7 +536,7 @@ def run_suite(n_max: int = 4, size_cap: Optional[int] = 3, include_membership: b
                         res = check_qcommutation(*key)
                         if res.status == NOT_APPLICABLE:
                             continue
-                    _mirror(pending, res)
+                    _mirror(pending, res, _GENERATOR_IMAGES)
                 results.append(res)
         # minors differing in one column label: the products of the pair
         # (L, L') also give the result of (L', L)
@@ -499,8 +549,8 @@ def run_suite(n_max: int = 4, size_cap: Optional[int] = 3, include_membership: b
                     if res is None:
                         res, back = check_muir_pair(*key)
                         pending[n, K, Lp, L] = back
-                        _mirror(pending, res)
-                        _mirror(pending, back)
+                        _mirror(pending, res, _MUIR_IMAGES)
+                        _mirror(pending, back, _MUIR_IMAGES)
                     results.append(res)
 
     if include_membership:

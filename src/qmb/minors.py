@@ -47,6 +47,15 @@ class MinorId:
                 f"row and column sets must have equal cardinality, got {self.rows} and {self.cols}"
             )
 
+    @classmethod
+    def _make(cls, rows: IndexSet, cols: IndexSet) -> "MinorId":
+        """A minor from label tuples that are valid by construction (the images
+        below), without validating them again."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "rows", rows)
+        object.__setattr__(out, "cols", cols)
+        return out
+
     def size(self) -> int:
         return len(self.rows)
 
@@ -55,16 +64,21 @@ class MinorId:
         c = ",".join(map(str, self.cols))
         return f"D[{{{r}}},{{{c}}}]"
 
+    def transpose(self) -> "MinorId":
+        """The minor whose element is this one's image under
+        ``Element.transpose``: rows and columns swap (README lemma 1)."""
+        return MinorId._make(self.cols, self.rows)
+
     def antitranspose(self, n: int) -> "MinorId":
         """The minor whose element is this one's image under
         ``Element.antitranspose``: rows and columns swap, and each label
         ``x`` becomes ``n + 1 - x``."""
-        return MinorId(sorted(n + 1 - x for x in self.cols), sorted(n + 1 - x for x in self.rows))
+        return MinorId._make(tuple(n + 1 - x for x in reversed(self.cols)), tuple(n + 1 - x for x in reversed(self.rows)))
 
     def flip(self, n: int) -> "MinorId":
         """The minor whose element is this one's image under ``Element.flip``:
         each label ``x`` becomes ``n + 1 - x`` (README lemma 1a)."""
-        return MinorId(tuple(n + 1 - x for x in reversed(self.rows)), tuple(n + 1 - x for x in reversed(self.cols)))
+        return MinorId._make(tuple(n + 1 - x for x in reversed(self.rows)), tuple(n + 1 - x for x in reversed(self.cols)))
 
 
 def inversions(perm: Sequence[int]) -> int:

@@ -201,7 +201,7 @@ def _solve_at_power(n: int, minor: MinorId, element: Element, side: str, m: int)
     caller gets its own copy."""
     if side == LEFT:
         minor, element = minor.antitranspose(n), element.antitranspose()
-    transposed = MinorId(minor.cols, minor.rows), element.transpose()
+    transposed = minor.transpose(), element.transpose()
     swap = _question_key(*transposed) < _question_key(minor, element)
     cofactor, record = _solve_right(n, *(transposed if swap else (minor, element)), m)
     if cofactor is None:
@@ -515,7 +515,7 @@ def _generator_witness(n: int, minor: MinorId, k: int, l: int, side: str) -> Ore
         return replace(out, derivation=_node("gap-recursion", {"k": k, "l": l}, [out.derivation]))
     if position == "row-gap":
         # transpose to a column gap for the transposed minor
-        left = witness_generator_constructive(n, MinorId(L, K), l, k, LEFT)
+        left = witness_generator_constructive(n, minor.transpose(), l, k, LEFT)
         return t_witness(
             power=left.power, cofactor=left.cofactor.transpose(), scale=left.scale,
             derivation=_node("transposed-gap", {"k": k, "l": l}, [left.derivation]),

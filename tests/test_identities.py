@@ -192,11 +192,31 @@ def flip_key(cfg):
                  for name, v in cfg.items())
 
 
+def transpose_key(cfg):
+    """The sweep's key of the transpose image of a generator configuration."""
+    return cfg["n"], tuple(cfg["L"]), tuple(cfg["K"]), cfg["l"], cfg["k"]
+
+
+def antitranspose_key(cfg):
+    """The sweep's key of the antitranspose image of a generator configuration."""
+    n = cfg["n"]
+    return n, flip_labels(n, cfg["L"]), flip_labels(n, cfg["K"]), n + 1 - cfg["l"], n + 1 - cfg["k"]
+
+
 def config_key(cfg):
     return tuple(tuple(v) if type(v) is list else v for v in cfg.values())
 
 
+def image_keys(res):
+    """The keys of the images the sweep files a verified result under: T, F
+    and tau for a generator check, F alone for a Muir check."""
+    if res.identity == "muir":
+        return {flip_key(res.config)}
+    return {transpose_key(res.config), flip_key(res.config), antitranspose_key(res.config)}
+
+
 FLIPPED_FAMILIES = ("centrality", "q-commutation", "muir")
+GENERATOR_FAMILIES = ("centrality", "q-commutation")
 
 
 def spoiled(res):
@@ -227,8 +247,10 @@ def recording(monkeypatch, spoil=None):
 
 
 class TestFlipOrbits:
-    """``run_suite`` checks one configuration per flip orbit and derives the
-    verified images (README lemma 1a); the report is the direct one."""
+    """``run_suite`` checks one centrality or q-commutation configuration per
+    orbit of the group {1, T, F, tau} (README lemmas 1 and 1a) and one Muir
+    configuration per flip orbit, and derives the verified images; the
+    report is the direct one."""
 
     def test_every_derived_result_equals_the_direct_check(self, monkeypatch):
         direct = {"centrality": check_centrality, "q-commutation": check_qcommutation,
@@ -239,27 +261,38 @@ class TestFlipOrbits:
         called = {args for name in calls for args in calls[name]}
         derived = [r for r in swept if config_key(r.config) not in called]
         assert {r.identity for r in derived} == set(FLIPPED_FAMILIES)
+        # both maps that the flip alone does not give are used
+        assert any(transpose_key(r.config) in called for r in derived if r.identity == "q-commutation")
+        assert any(antitranspose_key(r.config) in called for r in derived if r.identity == "q-commutation")
         for res in derived:
-            # its image was checked; for Muir, the products of its pair or of the image pair were formed
-            key, image = config_key(res.config), flip_key(res.config)
-            orbit = {image} if res.identity != "muir" else {c[:2] + c[:1:-1] for c in (key, image)} | {image}
-            assert orbit & called
+            # an image in its orbit was checked; for Muir, the products of its pair or of the image pair were formed
+            key, images = config_key(res.config), image_keys(res)
+            if res.identity == "muir":
+                (image,) = images
+                images = {c[:2] + c[:1:-1] for c in (key, image)} | {image}
+            assert images & called
         for res in swept:
             want = direct[res.identity](*config_key(res.config))
             # the JSON text, so that the key order of config and convention counts too
             assert json.dumps(res.to_json()) == json.dumps(want.to_json())
 
-    @pytest.mark.parametrize("identity, target, image", [
-        ("centrality", (3, (1, 2), (1, 2), 1, 1), (3, (2, 3), (2, 3), 3, 3)),
-        ("q-commutation", (3, (1, 2), (1, 2), 3, 1), (3, (2, 3), (2, 3), 1, 3)),
-        ("muir", (3, (1, 2), (1, 2), (1, 3)), (3, (2, 3), (2, 3), (1, 3))),
-    ], ids=["centrality", "q-commutation", "muir"])
-    def test_a_failed_result_is_not_mirrored(self, monkeypatch, identity, target, image):
+    @pytest.mark.parametrize("identity, target, images", [
+        # fixed by T, so its flip and antitranspose images coincide
+        ("centrality", (3, (1, 2), (1, 2), 1, 1), [(3, (2, 3), (2, 3), 3, 3)]),
+        ("centrality", (3, (1, 2), (1, 3), 1, 1),
+         [(3, (1, 3), (1, 2), 1, 1), (3, (2, 3), (1, 3), 3, 3), (3, (1, 3), (2, 3), 3, 3)]),
+        ("q-commutation", (3, (1, 2), (1, 2), 1, 3),
+         [(3, (1, 2), (1, 2), 3, 1), (3, (2, 3), (2, 3), 3, 1), (3, (2, 3), (2, 3), 1, 3)]),
+        ("muir", (3, (1, 2), (1, 2), (1, 3)), [(3, (2, 3), (2, 3), (1, 3))]),
+    ], ids=["centrality", "centrality-transpose", "q-commutation", "muir"])
+    def test_a_failed_result_is_not_mirrored(self, monkeypatch, identity, target, images):
+        """The target is the first configuration of its orbit that the sweep
+        reaches; when it fails, every image in the orbit is checked directly."""
         plain = run_suite(n_max=3, size_cap=None, include_membership=False).results
         calls = recording(monkeypatch, spoil=target)
         results = run_suite(n_max=3, size_cap=None, include_membership=False).results
         called = {args for name in calls for args in calls[name]}
-        assert target in called and image in called
+        assert target in called and set(images) <= called
         assert [(r.identity, config_key(r.config)) for r in results if r.status == FAILED] == [(identity, target)]
         assert ([r.to_json() for r in results if config_key(r.config) != target]
                 == [r.to_json() for r in plain if config_key(r.config) != target])
@@ -267,17 +300,39 @@ class TestFlipOrbits:
     def test_fixed_points_are_checked_directly(self, monkeypatch):
         calls = recording(monkeypatch)
         report = run_suite(n_max=5, size_cap=2, include_membership=False)
-        fixed = [r for r in report.results
-                 if r.identity in FLIPPED_FAMILIES and flip_key(r.config) == config_key(r.config)]
+        swept = [r for r in report.results if r.identity in GENERATOR_FAMILIES]
+        # fixed by each map alone, and by the whole group
+        for key_of in (transpose_key, flip_key, antitranspose_key):
+            assert any(key_of(r.config) == config_key(r.config) for r in swept)
+        fixed = [r for r in swept if image_keys(r) == {config_key(r.config)}]
         assert fixed and all(r.identity == "centrality" for r in fixed)
         assert {config_key(r.config) for r in fixed} <= set(calls["check_centrality"])
-        # a Muir pair whose image is its reversal: one call gives both results
         muir = [r.config for r in report.results if r.identity == "muir"]
+        assert not [c for c in muir if flip_key(c) == config_key(c)]
+        # a Muir pair whose image is its reversal: one call gives both results
         reversed_fixed = [c for c in muir if flip_key(c) == (c["n"], tuple(c["K"]), tuple(c["Lprime"]), tuple(c["L"]))]
         assert reversed_fixed
         for c in reversed_fixed:
             n, K, L, Lp = config_key(c)
             assert {(n, K, L, Lp), (n, K, Lp, L)} & set(calls["check_muir_pair"])
+
+    def test_one_direct_check_per_orbit(self, monkeypatch):
+        """At the benchmark's caps, each centrality and q-commutation result is
+        checked directly exactly when it is the first of its orbit under the
+        group that the sweep reaches, and ``check_muir_pair`` is called 427 times."""
+        calls = recording(monkeypatch)
+        report = run_suite(n_max=5, size_cap=4, include_membership=False)
+        direct = {"centrality": set(calls["check_centrality"]), "q-commutation": set(calls["check_qcommutation"])}
+        first = {"centrality": {}, "q-commutation": {}}
+        for res in report.results:
+            if res.identity in first:
+                key = config_key(res.config)
+                first[res.identity].setdefault(frozenset(image_keys(res) | {key}), key)
+        for identity in GENERATOR_FAMILIES:
+            swept = {config_key(r.config) for r in report.results if r.identity == identity}
+            assert direct[identity] & swept == set(first[identity].values())
+        assert (len(first["centrality"]), len(first["q-commutation"])) == (578, 521)
+        assert len(calls["check_muir_pair"]) == 427
 
 
 class TestGapOne:

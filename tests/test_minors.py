@@ -294,14 +294,40 @@ class TestMinorInvariants:
         assert D.multidegree() == MultiDegree(rows, cols)
 
     def test_transpose_swaps_index_sets(self):
-        """Every minor at n <= 4 (the antitranspose analogue is
+        """Every minor at n <= 5, so every proper minor that the identity
+        sweep derives results for by T (the antitranspose analogue is
         ``TestAntitranspose``); the witness solver relies on both."""
+        proper = 0
+        for n in (1, 2, 3, 4, 5):
+            for m in range(1, n + 1):
+                for K in combinations(range(1, n + 1), m):
+                    for L in combinations(range(1, n + 1), m):
+                        minor = MinorId(K, L)
+                        assert minor.transpose() == MinorId(L, K)
+                        assert minor.transpose().transpose() == minor
+                        image = minors.minor_element(n, minor).transpose()
+                        assert minors.minor_element(n, minor.transpose()) == image
+                        if m < n:
+                            proper += 1
+        assert proper == 340  # every proper minor at 2 <= n <= 5
+
+    def test_images_are_minors_the_constructor_accepts(self):
+        """``transpose``, ``antitranspose`` and ``flip`` skip the validation;
+        each image is the minor that the validating constructor names."""
         for n in (1, 2, 3, 4):
             for m in range(1, n + 1):
                 for K in combinations(range(1, n + 1), m):
                     for L in combinations(range(1, n + 1), m):
-                        image = minors.minor_element(n, MinorId(K, L)).transpose()
-                        assert minors.minor_element(n, MinorId(L, K)) == image
+                        minor = MinorId(K, L)
+                        for image in (minor.transpose(), minor.antitranspose(n), minor.flip(n)):
+                            checked = MinorId(image.rows, image.cols)
+                            assert (image, hash(image)) == (checked, hash(checked))
+                            assert type(image.rows) is type(image.cols) is tuple
+
+    def test_the_constructor_validates_its_labels(self):
+        for rows, cols in [((2, 1), (1, 2)), ((1, 1), (1, 2)), ((), ()), ((1, 2), [1, 2.0])]:
+            with pytest.raises(ValueError):
+                MinorId(rows, cols)
 
     def test_classical_limit_is_the_determinant(self):
         # oracle: ordinary determinant via signed permutation sum
