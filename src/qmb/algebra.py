@@ -672,32 +672,13 @@ class Element:
 
     # -- structural maps ---------------------------------------------------
 
-    def _relabel(self, letter) -> "Element":
-        """Image under a letter map that sends every sorted word to the sorted
-        word of its letters' images, with coefficient 1 (README lemma 1)."""
-        return Element._make(self.n, {tuple(sorted(map(letter, w))): c for w, c in self._t.items()})
-
     def transpose(self) -> "Element":
-        """Image under the index swap ``t[i,j] -> t[j,i]`` (an algebra map)."""
-        return self._relabel(lambda g: (g[1], g[0]))
-
-    def flip(self) -> "Element":
-        """Image under the flip ``t[i,j] -> t[n+1-i, n+1-j]`` with every word
-        reversed (README lemma 1a): an anti-automorphism and an involution.
-        The flip reverses the order of the letters, so the reversed image of a
-        sorted word is sorted, and nothing is sorted."""
-        m = self.n + 1
-        return Element._make(self.n, {tuple([(m - i, m - j) for i, j in reversed(w)]): c for w, c in self._t.items()})
+        """Image under the transpose T, ``t[i,j] -> t[j,i]`` (an algebra map)."""
+        return TRANSPOSE.element(self)
 
     def antitranspose(self) -> "Element":
-        """Image under ``t[i,j] -> t[n+1-j, n+1-i]`` with word reversal.
-
-        This is an anti-automorphism (it reverses products), used to derive
-        right-sided statements from left-sided ones.  The reversal needs no
-        step of its own: the image word is sorted either way.
-        """
-        m = self.n + 1
-        return self._relabel(lambda g: (m - g[1], m - g[0]))
+        """Image under the antitranspose tau, ``t[i,j] -> t[n+1-j, n+1-i]``, which reverses products."""
+        return ANTITRANSPOSE.element(self)
 
     def specialize(self, q0: Union[int, Fraction]) -> dict[Word, Fraction]:
         """Coefficients evaluated at ``q = q0``; at ``q0 = 1`` the keys read as
@@ -729,6 +710,56 @@ class Element:
 
     def __repr__(self) -> str:
         return f"Element(n={self.n}, {self.render()!r})"
+
+
+# -- the symmetry group {1, T, F, tau} -------------------------------------------
+
+
+class Symmetry:
+    """A map of the group {1, T, F, tau} of O_q(M_n) as two bits (README lemmas
+    1 and 1a): ``swap``, the transpose T, exchanges rows and columns; ``reflect``,
+    the flip F, sends every label ``x`` to ``n+1-x`` and reverses products, so
+    it negates the exponent of ``a b = q^e b a`` (``sign``).  The antitranspose
+    tau = T F sets both bits, and composition is their XOR (:meth:`then`).  The
+    four maps are ``IDENTITY``, ``TRANSPOSE``, ``FLIP`` and ``ANTITRANSPOSE``."""
+
+    __slots__ = ("swap", "reflect", "sign")
+
+    def __init__(self, swap: bool, reflect: bool):
+        self.swap, self.reflect, self.sign = swap, reflect, -1 if reflect else 1
+
+    def then(self, other: "Symmetry") -> "Symmetry":
+        """This map followed by ``other``; the group is abelian, so either order."""
+        return _GROUP[self.swap ^ other.swap][self.reflect ^ other.reflect]
+
+    def labels(self, xs: Sequence[int], n: int) -> tuple[int, ...]:
+        """The image of an increasing label sequence, increasing again."""
+        return tuple(n + 1 - x for x in reversed(xs)) if self.reflect else tuple(xs)
+
+    def sets(self, rows: Sequence[int], cols: Sequence[int], n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The images of a row set and a column set, as ``(rows, cols)``."""
+        return self.labels(cols if self.swap else rows, n), self.labels(rows if self.swap else cols, n)
+
+    def letter(self, g: Gen, n: int) -> Gen:
+        """The image of the generator ``t[i,j]``, given as ``(i, j)``."""
+        i, j = g[::-1] if self.swap else g
+        return (n + 1 - i, n + 1 - j) if self.reflect else (i, j)
+
+    def element(self, x: Element) -> Element:
+        """The image of ``x`` word by word, with coefficient 1 (README lemma 1).
+        Reflecting alone reverses the letter order, so the image of a word read
+        from its last letter is sorted; only a map that swaps sorts.  One image
+        is formed per distinct letter of ``x``, and every image word reads it."""
+        if not (self.swap or self.reflect):
+            return x
+        image = {g: self.letter(g, x.n) for g in {g for w in x._t for g in w}}.__getitem__
+        if self.swap:
+            return Element._make(x.n, {tuple(sorted(map(image, w))): c for w, c in x._t.items()})
+        return Element._make(x.n, {tuple(map(image, reversed(w))): c for w, c in x._t.items()})
+
+
+_GROUP = tuple(tuple(Symmetry(swap, reflect) for reflect in (False, True)) for swap in (False, True))  # [swap][reflect]
+(IDENTITY, FLIP), (TRANSPOSE, ANTITRANSPOSE) = _GROUP
 
 
 def normal_form(n: int, terms: Iterable[tuple[ScalarLike, Iterable[Gen]]]) -> Element:

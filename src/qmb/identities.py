@@ -24,24 +24,24 @@ The resolved conventions the sweep discovers, for reference:
   of the commuted generator and replaced column sets re-sorted.
 
 :func:`run_suite` checks one centrality and q-commutation configuration per
-orbit of the group {1, T, F, tau} (README, lemmas 1 and 1a): the transpose T
-``t[i,j] -> t[j,i]``, the flip F ``t[i,j] -> t[n+1-i, n+1-j]`` and the
-antitranspose tau = T F.  It checks one Muir configuration per orbit of the
-flip alone: T and tau map a column interchange to a row interchange, which
-the sweep does not make.  The result at each image of a verified one is
-derived by relabelling (:class:`_Symmetry`: one relabelling of the
-configuration and one geometry table per map; T keeps the exponent, F and
-tau negate it).  A failed result is never mirrored, so every image in its
-orbit is checked directly, as is every fixed point of the group.
+orbit of the group {1, T, F, tau} of :class:`~qmb.algebra.Symmetry` (README,
+lemmas 1 and 1a): the transpose T (swap), the flip F (reflect) and the
+antitranspose tau = T F (both).  It checks one Muir configuration per orbit
+of the flip alone: T and tau map a column interchange to a row interchange,
+which the sweep does not make.  The result at each image of a verified one
+is derived by relabelling: :func:`_image` maps the configuration, one
+geometry table per bit the geometry, and the map's sign the exponent (T
+keeps it, F and tau negate it).  A failed result is never mirrored, so every
+image in its orbit is checked directly, as is every fixed point of the group.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations, product
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
-from .algebra import Element, commutator
+from .algebra import ANTITRANSPOSE, FLIP, TRANSPOSE, Element, Symmetry, commutator
 from .minors import column_replace, qcommutation_exponent, qcommutation_probe, quantum_minor, quantum_minor_columns
 from .scalars import LaurentQ, ONE, QINV, Q_MINUS_QINV
 
@@ -408,73 +408,55 @@ def _minor_shapes(n_max: int, size_cap: Optional[int]):
 # -- the symmetry group {1, T, F, tau} on the swept results ----------------------
 
 
-def _transposed(cfg: dict) -> dict:
-    """T, ``t[i,j] -> t[j,i]``, on a generator configuration: ``D[K,L]``
-    becomes ``D[L,K]``, so ``(K, L, k, l)`` becomes ``(L, K, l, k)``."""
-    return {"n": cfg["n"], "K": list(cfg["L"]), "L": list(cfg["K"]), "k": cfg["l"], "l": cfg["k"]}
-
-
-def _flipped(cfg: dict) -> dict:
-    """F = T tau, ``t[i,j] -> t[n+1-i, n+1-j]``, on any configuration: every
-    label ``x`` becomes ``n+1-x`` (README, lemma 1a)."""
-    n = cfg["n"]
-    return {key: v if key == "n" else n + 1 - v if type(v) is int else sorted(n + 1 - x for x in v)
-            for key, v in cfg.items()}
-
-
 def _swaps(*pairs: tuple[str, str]) -> dict:
     return {a: b for pair in pairs for a, b in (pair, pair[::-1])}
 
 
-class _Symmetry:
-    """A map of the group on verified results: ``relabel`` maps the
-    configuration, ``geometry`` the recorded geometry, and ``sign`` is the
-    exponent's: ``+1`` for an automorphism, ``-1`` for an anti-automorphism,
-    which reverses the two products of ``a b = q^e b a``."""
-
-    __slots__ = ("relabel", "geometry", "sign")
-
-    def __init__(self, relabel: Callable[[dict], dict], geometry: dict, sign: int):
-        self.relabel, self.geometry, self.sign = relabel, geometry, sign
-
-    def after(self, first: "_Symmetry") -> "_Symmetry":
-        """This map after ``first``, on the geometries both tables hold."""
-        return _Symmetry(lambda cfg: self.relabel(first.relabel(cfg)),
-                         {g: self.geometry[h] for g, h in first.geometry.items() if h in self.geometry},
-                         self.sign * first.sign)
-
-    def convention(self, conv: Optional[dict]) -> Optional[dict]:
-        return conv and {"geometry": self.geometry[conv["geometry"]], "exponent": self.sign * conv["exponent"]}
-
-
-# T swaps rows and columns and keeps every label order and every product's order.
-_TRANSPOSE = _Symmetry(_transposed, _swaps(("row-outside-below", "col-outside-below"),
-                                           ("row-outside-above", "col-outside-above")), 1)
-# F reverses every label order (below <-> above, removed<added <-> removed>added) and every product.
-_FLIP = _Symmetry(_flipped, _swaps(("row-outside-below", "row-outside-above"),
-                                   ("col-outside-below", "col-outside-above"),
-                                   ("removed<added", "removed>added")), -1)
-# tau = T F, an anti-automorphism: below <-> above and row-* <-> col-*
-_ANTITRANSPOSE = _TRANSPOSE.after(_FLIP)
+# One geometry table per bit of a Symmetry: swap exchanges rows and columns,
+# reflect reverses every label order (below <-> above, removed<added <-> removed>added).
+_SWAPPED = _swaps(("row-outside-below", "col-outside-below"), ("row-outside-above", "col-outside-above"))
+_REFLECTED = _swaps(("row-outside-below", "row-outside-above"), ("col-outside-below", "col-outside-above"),
+                    ("removed<added", "removed>added"))
 
 # The maps a verified result is filed under.  T and tau take a Muir pair (a
 # column interchange) to a row interchange, which the sweep does not make.
-_GENERATOR_IMAGES = (_TRANSPOSE, _FLIP, _ANTITRANSPOSE)
-_MUIR_IMAGES = (_FLIP,)
+_GENERATOR_IMAGES = (TRANSPOSE, FLIP, ANTITRANSPOSE)
+_MUIR_IMAGES = (FLIP,)
 
 
-def _mirror(pending: dict, res: CheckResult, symmetries: Sequence[_Symmetry]) -> None:
-    """File the image of ``res`` under each of ``symmetries`` in ``pending``,
+def _image(g: Symmetry, cfg: dict) -> dict:
+    """The configuration ``g`` maps ``cfg`` to, in the same key order: the
+    minor's sets mapped, and the generator ``t[k,l]``, or the column set
+    ``L'`` of a Muir configuration (which only maps that do not swap reach)."""
+    n = cfg["n"]
+    K, L = g.sets(cfg["K"], cfg["L"], n)
+    if "k" in cfg:
+        k, l = g.letter((cfg["k"], cfg["l"]), n)
+        return {"n": n, "K": list(K), "L": list(L), "k": k, "l": l}
+    return {"n": n, "K": list(K), "L": list(L), "Lprime": list(g.labels(cfg["Lprime"], n))}
+
+
+def _convention(g: Symmetry, conv: Optional[dict]) -> Optional[dict]:
+    """The convention at the image under ``g`` of a verified result: the geometry
+    through the table of each bit set, and the exponent times ``g.sign``."""
+    if conv is None:
+        return None
+    geometry = _SWAPPED[conv["geometry"]] if g.swap else conv["geometry"]
+    return {"geometry": _REFLECTED[geometry] if g.reflect else geometry, "exponent": g.sign * conv["exponent"]}
+
+
+def _mirror(pending: dict, res: CheckResult, images: Sequence[Symmetry]) -> None:
+    """File the image of ``res`` under each of ``images`` in ``pending``,
     unless a result or a marker is filed there already.  A failed ``res``
     files the marker None at each image instead, so each is checked
     directly and no verified image is filed over it later."""
-    for symmetry in symmetries:
-        cfg = symmetry.relabel(res.config)
+    for g in images:
+        cfg = _image(g, res.config)
         # the sweep's key: the configuration's values in order, lists as tuples
         key = tuple(tuple(v) if type(v) is list else v for v in cfg.values())
         if key not in pending:
             pending[key] = None if res.status != VERIFIED else CheckResult(
-                res.identity, cfg, VERIFIED, Element.zero(cfg["n"]), symmetry.convention(res.convention))
+                res.identity, cfg, VERIFIED, Element.zero(cfg["n"]), _convention(g, res.convention))
 
 
 MEMBERSHIP_N_MAX = 3
@@ -490,9 +472,9 @@ def run_suite(n_max: int = 4, size_cap: Optional[int] = 3, include_membership: b
     case the main localization argument consumes.
 
     The centrality and q-commutation checks are made once per orbit of the
-    group {1, T, F, tau}: the transpose T, the flip F and the antitranspose
-    tau.  Each verified result files its images under all three in
-    ``pending``, which the sweep reads when it reaches that configuration.
+    group {1, T, F, tau} (:class:`~qmb.algebra.Symmetry`).  Each verified
+    result files its images under T, F and tau in ``pending`` (:func:`_mirror`),
+    which the sweep reads when it reaches that configuration.
     A failed result files the marker None instead, so every image in its
     orbit is checked directly; so is every fixed point of the group.  The
     Muir checks are made once per orbit of the flip alone, since T and tau

@@ -14,7 +14,7 @@ from functools import lru_cache
 from itertools import permutations
 from typing import Iterable, Optional, Sequence
 
-from .algebra import DegreeCapError, Element, _check_cap
+from .algebra import DegreeCapError, Element, Symmetry, _check_cap
 from .scalars import LaurentQ
 
 IndexSet = tuple[int, ...]
@@ -49,8 +49,8 @@ class MinorId:
 
     @classmethod
     def _make(cls, rows: IndexSet, cols: IndexSet) -> "MinorId":
-        """A minor from label tuples that are valid by construction (the images
-        below), without validating them again."""
+        """A minor from label tuples that are valid by construction (an
+        :meth:`image`), without validating them again."""
         out = object.__new__(cls)
         object.__setattr__(out, "rows", rows)
         object.__setattr__(out, "cols", cols)
@@ -64,21 +64,10 @@ class MinorId:
         c = ",".join(map(str, self.cols))
         return f"D[{{{r}}},{{{c}}}]"
 
-    def transpose(self) -> "MinorId":
-        """The minor whose element is this one's image under
-        ``Element.transpose``: rows and columns swap (README lemma 1)."""
-        return MinorId._make(self.cols, self.rows)
-
-    def antitranspose(self, n: int) -> "MinorId":
-        """The minor whose element is this one's image under
-        ``Element.antitranspose``: rows and columns swap, and each label
-        ``x`` becomes ``n + 1 - x``."""
-        return MinorId._make(tuple(n + 1 - x for x in reversed(self.cols)), tuple(n + 1 - x for x in reversed(self.rows)))
-
-    def flip(self, n: int) -> "MinorId":
-        """The minor whose element is this one's image under ``Element.flip``:
-        each label ``x`` becomes ``n + 1 - x`` (README lemma 1a)."""
-        return MinorId._make(tuple(n + 1 - x for x in reversed(self.rows)), tuple(n + 1 - x for x in reversed(self.cols)))
+    def image(self, g: Symmetry, n: int) -> "MinorId":
+        """The minor whose element is ``g.element`` of this one's: ``g`` maps
+        the row and column sets (README lemmas 1 and 1a)."""
+        return MinorId._make(*g.sets(self.rows, self.cols, n))
 
 
 def inversions(perm: Sequence[int]) -> int:

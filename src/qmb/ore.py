@@ -44,7 +44,8 @@ from functools import lru_cache, partial, reduce
 from itertools import count
 from typing import Optional, Sequence
 
-from .algebra import Element, _check_cap, basis_monomials, commutator, word_products
+from .algebra import (ANTITRANSPOSE, FLIP, IDENTITY, TRANSPOSE, Element, Symmetry, _check_cap, basis_monomials,
+                      commutator, word_products)
 from .exprparse import ExprSyntaxError, parse_element, parse_laurent
 from .identities import commutator_terms, gap_correction_terms, generator_position
 from .linalg import solve_linear
@@ -91,15 +92,15 @@ def _minor_power(n: int, minor: MinorId, k: int) -> Element:
 def _minor_first(n: int, pairs: list, x: Element, on_left: bool) -> Element:
     """``P * x`` when ``on_left``, else ``x * P``, for ``P`` the product of the
     ``(minor, power)`` factors ``pairs`` in order, walked with a minor power
-    on the left either way: ``x * P`` is formed as ``flip(flip(P) * flip(x))``.
-    The flip is an anti-automorphism and an involution that maps ``D[K,L]`` to
-    ``D[K*,L*]`` (README lemma 1a), so ``flip(P)`` is the product of the
-    cached powers of the flipped minors in reverse order, and no minor power
-    is relabelled."""
+    on the left either way: ``x * P`` is formed as ``F(F(P) * F(x))``.  The
+    flip F is an anti-automorphism and an involution that maps ``D[K,L]`` to
+    ``D[K*,L*]`` (README lemma 1a), so ``F(P)`` is the product of the cached
+    powers of the flipped minors in reverse order, and no minor power is
+    relabelled."""
     if on_left:
         return reduce(operator.mul, [_minor_power(n, m, k) for m, k in pairs]) * x
-    flipped = reduce(operator.mul, [_minor_power(n, m.flip(n), k) for m, k in reversed(pairs)])
-    return (flipped * x.flip()).flip()
+    flipped = reduce(operator.mul, [_minor_power(n, m.image(FLIP, n), k) for m, k in reversed(pairs)])
+    return FLIP.element(flipped * FLIP.element(x))
 
 
 def _residual(w, scaled: list, cleared: list) -> Element:
@@ -191,28 +192,18 @@ def _node(rule: str, detail: Optional[dict] = None, children: Optional[list[dict
 
 def _solve_at_power(n: int, minor: MinorId, element: Element, side: str, m: int):
     """The cofactor at a fixed power, or None and the record when infeasible.
-    Right-form systems ``e * D^m == D * x`` only: a left question is asked for
-    the antitransposed minor and element.  The right question and its
-    transpose (``D[L,K]``, ``e.transpose()``, same form) have the same
-    system up to renaming, so the one with the smaller key ``(rows, cols,
-    sorted words)`` is solved, through the per-process memo
-    :func:`_solve_right`, and its cofactor maps back (README lemma 1).  A
-    record counts only, so it is the same for all four questions; each
-    caller gets its own copy."""
-    if side == LEFT:
-        minor, element = minor.antitranspose(n), element.antitranspose()
-    transposed = minor.transpose(), element.transpose()
-    swap = _question_key(*transposed) < _question_key(minor, element)
-    cofactor, record = _solve_right(n, *(transposed if swap else (minor, element)), m)
-    if cofactor is None:
-        return None, dict(record)
-    if swap:
-        cofactor = cofactor.transpose()
-    return cofactor.antitranspose() if side == LEFT else cofactor, None
-
-
-def _question_key(minor: MinorId, element: Element) -> tuple:
-    return minor.rows, minor.cols, sorted(element._t)
+    Right-form systems ``e * D^m == D * x`` only: the question is mapped by
+    tau if it is a left one, and then by T if that gives the smaller key
+    ``(rows, cols, sorted words)`` (README lemma 1).  The mapped question has
+    the same system up to renaming; it is solved through the per-process memo
+    :func:`_solve_right`, and the same map, an involution, maps its cofactor
+    back.  A record counts only, so it is the same for all four questions;
+    each caller gets its own copy."""
+    first = ANTITRANSPOSE if side == LEFT else IDENTITY
+    questions = [(minor.image(g, n), g.element(element), g) for g in (first, first.then(TRANSPOSE))]
+    minor, element, g = min(questions, key=lambda q: (q[0].rows, q[0].cols, sorted(q[1]._t)))
+    cofactor, record = _solve_right(n, minor, element, m)
+    return (None, dict(record)) if cofactor is None else (g.element(cofactor), None)
 
 
 @lru_cache(maxsize=1024)
@@ -483,17 +474,24 @@ def witness_generator_constructive(n: int, minor: MinorId, k: int, l: int, side:
     return out
 
 
+def _witness_image(g: Symmetry, w: OreWitness, rule: str, detail: dict) -> OreWitness:
+    """``w``'s image under ``g``, uncertified, derived by the node ``rule``: minor, element and
+    cofactor mapped, the side swapped if ``g`` reflects, and the rest kept (README lemma 1)."""
+    return replace(w, minor=w.minor.image(g, w.n), element=g.element(w.element), cofactor=g.element(w.cofactor),
+                   side={LEFT: RIGHT, RIGHT: LEFT}[w.side] if g.reflect else w.side,
+                   infeasible=[dict(r) for r in w.infeasible], derivation=_node(rule, detail, [w.derivation]),
+                   certified=False)
+
+
 def _generator_witness(n: int, minor: MinorId, k: int, l: int, side: str) -> OreWitness:
-    t = Element.generator(n, k, l)
-    t_witness = partial(OreWitness, n=n, minor=minor, element=t, side=side)
     if side == RIGHT:
         # the antitranspose turns right clearances into left ones for the mirrored minor
-        left = witness_generator_constructive(n, minor.antitranspose(n), n + 1 - l, n + 1 - k, LEFT)
-        return t_witness(
-            power=left.power, cofactor=left.cofactor.antitranspose(), scale=left.scale,
-            derivation=_node("mirror", {"map": "t[i,j] -> t[n+1-j,n+1-i]"}, [left.derivation]),
-        )
+        g = ANTITRANSPOSE
+        left = witness_generator_constructive(n, minor.image(g, n), *g.letter((k, l), n), LEFT)
+        return _witness_image(g, left, "mirror", {"map": "t[i,j] -> t[n+1-j,n+1-i]"})
 
+    t = Element.generator(n, k, l)
+    t_witness = partial(OreWitness, n=n, minor=minor, element=t, side=side)
     K, L = minor.rows, minor.cols
     D = minor_element(n, minor)
     position = generator_position(K, L, k, l)
@@ -515,11 +513,8 @@ def _generator_witness(n: int, minor: MinorId, k: int, l: int, side: str) -> Ore
         return replace(out, derivation=_node("gap-recursion", {"k": k, "l": l}, [out.derivation]))
     if position == "row-gap":
         # transpose to a column gap for the transposed minor
-        left = witness_generator_constructive(n, minor.transpose(), l, k, LEFT)
-        return t_witness(
-            power=left.power, cofactor=left.cofactor.transpose(), scale=left.scale,
-            derivation=_node("transposed-gap", {"k": k, "l": l}, [left.derivation]),
-        )
+        left = witness_generator_constructive(n, minor.image(TRANSPOSE, n), l, k, LEFT)
+        return _witness_image(TRANSPOSE, left, "transposed-gap", {"k": k, "l": l})
     if position != "outside":  # one label inside, the other outside its set's range
         return _qcommuting_witness(minor, t, D, {"k": k, "l": l})
     # outside on both indices: the commutator with D expands over words in

@@ -10,6 +10,10 @@ import pytest
 
 from qmb import algebra, clear_caches, identities, ore
 from qmb.algebra import (
+    ANTITRANSPOSE,
+    FLIP,
+    IDENTITY,
+    TRANSPOSE,
     ContextMismatchError,
     DegreeCapError,
     Element,
@@ -780,29 +784,100 @@ def flip_sample(seed):
 
 
 class TestFlip:
-    """``Element.flip``: ``t[i,j] -> t[n+1-i, n+1-j]`` with every word
+    """``FLIP.element``: ``t[i,j] -> t[n+1-i, n+1-j]`` with every word
     reversed (README lemma 1a), formed without sorting."""
 
     def test_the_flip_is_the_transpose_of_the_antitranspose(self):
         xs = flip_sample(83)
         assert {x.n for x in xs} == {1, 2, 3, 4, 5}
         for x in xs:
-            y = x.flip()
+            y = FLIP.element(x)
             assert y == x.antitranspose().transpose()
             assert all(list(w) == sorted(w) for w in y._t)
-            assert y.flip() == x
+            assert FLIP.element(y) == x
 
     def test_the_flip_reverses_products(self):
         rng = random.Random(89)
         for n in (2, 3, 4):
             for _ in range(25):
                 x, y = rand_element(rng, n), rand_element(rng, n)
-                assert (x * y).flip() == y.flip() * x.flip()
+                assert FLIP.element(x * y) == FLIP.element(y) * FLIP.element(x)
         for n, rows, cols in ((3, (1, 2), (2, 3)), (4, (1, 3), (2, 4))):
             D = quantum_minor(n, rows, cols)
             x = rand_element(rng, n, 4, 4)
-            assert (x * D).flip() == D.flip() * x.flip()
-            assert D.flip() == quantum_minor(n, *(tuple(n + 1 - v for v in reversed(s)) for s in (rows, cols)))
+            assert FLIP.element(x * D) == FLIP.element(D) * FLIP.element(x)
+            assert FLIP.element(D) == quantum_minor(n, *(tuple(n + 1 - v for v in reversed(s)) for s in (rows, cols)))
+
+
+GROUP = (IDENTITY, TRANSPOSE, FLIP, ANTITRANSPOSE)
+
+
+def reference_letter(g, n, letter):
+    """The tests' own table of the four maps: the image of ``letter``, and
+    whether the map reverses products."""
+    i, j = letter
+    return {IDENTITY: ((i, j), False), TRANSPOSE: ((j, i), False),
+            FLIP: ((n + 1 - i, n + 1 - j), True), ANTITRANSPOSE: ((n + 1 - j, n + 1 - i), True)}[g]
+
+
+def reference_image(g, x):
+    """``g`` of ``x`` as the normal form of the letter-mapped words, each
+    reversed when ``g`` reverses products: no use of lemma 1's shortcut."""
+    def mapped(w):
+        letters = [reference_letter(g, x.n, a)[0] for a in w]
+        return letters[::-1] if reference_letter(g, x.n, (1, 1))[1] else letters
+    return normal_form(x.n, [(c, mapped(w)) for w, c in x.terms()])
+
+
+class TestSymmetry:
+    """``algebra.Symmetry``, the one owner of the group {1, T, F, tau}
+    (README lemmas 1 and 1a), against the tests' own table of the maps."""
+
+    def test_the_group_law(self):
+        assert {(g.swap, g.reflect) for g in GROUP} == {(a, b) for a in (False, True) for b in (False, True)}
+        for g in GROUP:
+            assert g.then(g) is IDENTITY
+            assert IDENTITY.then(g) is g
+            assert g.sign == (-1 if reference_letter(g, 2, (1, 1))[1] else 1)
+            for h in GROUP:
+                assert g.then(h) is h.then(g)
+        assert TRANSPOSE.then(FLIP) is ANTITRANSPOSE
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_every_letter(self, n):
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                for g in GROUP:
+                    image, reverses = reference_letter(g, n, (i, j))
+                    assert (g.letter((i, j), n), g.reflect) == (image, reverses)
+                    assert g.element(t(n, i, j)) == reference_image(g, t(n, i, j)) == t(n, *image)
+
+    def test_seeded_elements(self):
+        xs = flip_sample(83)
+        for x in xs:
+            for g in GROUP:
+                y = g.element(x)
+                assert y == reference_image(g, x)
+                assert all(list(w) == sorted(w) for w in y._t)
+                for h in GROUP:
+                    assert h.element(y) == g.then(h).element(x)
+
+    def test_images_share_one_object_per_letter(self):
+        """A map forms one image per distinct letter of the element mapped,
+        and every image word reads it."""
+        for x in flip_sample(97):
+            for g in (TRANSPOSE, FLIP, ANTITRANSPOSE):
+                letters = [a for w in g.element(x)._t for a in w]
+                assert len(set(map(id, letters))) == len(set(letters))
+
+    def test_products_are_kept_or_reversed(self):
+        rng = random.Random(101)
+        for n in (2, 3, 4):
+            for _ in range(10):
+                x, y = rand_element(rng, n), rand_element(rng, n)
+                for g in GROUP:
+                    gx, gy = g.element(x), g.element(y)
+                    assert g.element(x * y) == (gy * gx if g.reflect else gx * gy)
 
 
 @pytest.fixture

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from qmb import identities
-from qmb.algebra import Element, commutator, reduce_terms
+from qmb.algebra import ANTITRANSPOSE, FLIP, IDENTITY, TRANSPOSE, Element, commutator, reduce_terms
 from qmb.identities import (
     FAILED,
     NOT_APPLICABLE,
@@ -213,6 +213,24 @@ def image_keys(res):
     if res.identity == "muir":
         return {flip_key(res.config)}
     return {transpose_key(res.config), flip_key(res.config), antitranspose_key(res.config)}
+
+
+def test_the_image_of_a_configuration_is_the_tests_own():
+    """``identities._image`` against ``transpose_key``, ``flip_key`` and
+    ``antitranspose_key`` on every generator configuration at n <= 4, all
+    sizes, and against ``flip_key`` on every Muir configuration; the image
+    keeps the key order of the configuration."""
+    generator = [identities._cfg(n, K, L, k=k, l=l) for n, K, L in identities._minor_shapes(4, None)
+                 for k in range(1, n + 1) for l in range(1, n + 1)]
+    muir = [identities._cfg(n, K, L, Lprime=list(Lp)) for n, K, L, Lp in muir_configurations(4)]
+    maps = [(g, key_of, cfg) for cfg in generator
+            for g, key_of in ((TRANSPOSE, transpose_key), (FLIP, flip_key), (ANTITRANSPOSE, antitranspose_key))]
+    for g, key_of, cfg in maps + [(FLIP, flip_key, cfg) for cfg in muir]:
+        image = identities._image(g, cfg)
+        assert config_key(image) == key_of(cfg) and list(image) == list(cfg)
+        assert identities._image(g, image) == cfg
+    assert all(identities._image(IDENTITY, cfg) == cfg for cfg in generator + muir)
+    assert len(generator) == 4 * 2**2 + 18 * 3**2 + 68 * 4**2  # every proper minor x every generator
 
 
 FLIPPED_FAMILIES = ("centrality", "q-commutation", "muir")

@@ -7,7 +7,7 @@ from itertools import combinations, permutations
 import pytest
 
 from qmb import minors
-from qmb.algebra import DegreeCapError, Element, MultiDegree, commutator
+from qmb.algebra import ANTITRANSPOSE, FLIP, IDENTITY, TRANSPOSE, DegreeCapError, Element, MultiDegree, commutator
 from qmb.exprparse import parse_element
 from qmb.minors import (
     MAX_MATRIX_SIZE,
@@ -76,9 +76,35 @@ class TestAntitranspose:
             for rows in combinations(range(1, n + 1), size):
                 for cols in combinations(range(1, n + 1), size):
                     minor = MinorId(rows, cols)
-                    image = minor.antitranspose(n)
+                    image = minor.image(ANTITRANSPOSE, n)
                     assert minors.minor_element(n, image) == minors.minor_element(n, minor).antitranspose()
-                    assert image.antitranspose(n) == minor
+                    assert image.image(ANTITRANSPOSE, n) == minor
+
+
+def reference_sets(g, n, K, L):
+    """The tests' own image of the minor ``D[K,L]`` under each map, as its
+    ``(rows, cols)``: T swaps the sets, F maps each label ``x`` to ``n+1-x``."""
+    def star(X):
+        return tuple(sorted(n + 1 - x for x in X))
+    return {IDENTITY: (K, L), TRANSPOSE: (L, K), FLIP: (star(K), star(L)), ANTITRANSPOSE: (star(L), star(K))}[g]
+
+
+class TestImage:
+    def test_every_proper_minor_at_n_up_to_5(self):
+        """``MinorId.image`` is the minor the validating constructor names,
+        with its hash, and its element is the map's image of the minor's."""
+        checked = 0
+        for n in (2, 3, 4, 5):
+            for m in range(1, n):
+                for K in combinations(range(1, n + 1), m):
+                    for L in combinations(range(1, n + 1), m):
+                        minor = MinorId(K, L)
+                        for g in (IDENTITY, TRANSPOSE, FLIP, ANTITRANSPOSE):
+                            image, want = minor.image(g, n), MinorId(*reference_sets(g, n, K, L))
+                            assert (image, hash(image)) == (want, hash(want))
+                            assert minors.minor_element(n, image) == g.element(minors.minor_element(n, minor))
+                        checked += 1
+        assert checked == 340
 
 
 def flip(e):
@@ -303,23 +329,23 @@ class TestMinorInvariants:
                 for K in combinations(range(1, n + 1), m):
                     for L in combinations(range(1, n + 1), m):
                         minor = MinorId(K, L)
-                        assert minor.transpose() == MinorId(L, K)
-                        assert minor.transpose().transpose() == minor
+                        assert minor.image(TRANSPOSE, n) == MinorId(L, K)
+                        assert minor.image(TRANSPOSE, n).image(TRANSPOSE, n) == minor
                         image = minors.minor_element(n, minor).transpose()
-                        assert minors.minor_element(n, minor.transpose()) == image
+                        assert minors.minor_element(n, minor.image(TRANSPOSE, n)) == image
                         if m < n:
                             proper += 1
         assert proper == 340  # every proper minor at 2 <= n <= 5
 
     def test_images_are_minors_the_constructor_accepts(self):
-        """``transpose``, ``antitranspose`` and ``flip`` skip the validation;
+        """``MinorId.image`` skips the validation;
         each image is the minor that the validating constructor names."""
         for n in (1, 2, 3, 4):
             for m in range(1, n + 1):
                 for K in combinations(range(1, n + 1), m):
                     for L in combinations(range(1, n + 1), m):
                         minor = MinorId(K, L)
-                        for image in (minor.transpose(), minor.antitranspose(n), minor.flip(n)):
+                        for image in (minor.image(g, n) for g in (TRANSPOSE, ANTITRANSPOSE, FLIP)):
                             checked = MinorId(image.rows, image.cols)
                             assert (image, hash(image)) == (checked, hash(checked))
                             assert type(image.rows) is type(image.cols) is tuple

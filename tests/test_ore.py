@@ -11,9 +11,10 @@ from itertools import combinations
 import pytest
 
 from qmb import algebra, clear_caches, identities, minors, ore
-from qmb.algebra import Element, MultiDegree, basis_monomials
+from qmb.algebra import ANTITRANSPOSE, TRANSPOSE, Element, MultiDegree, basis_monomials
 from qmb.cli import EXIT_CHECK_FAILED, EXIT_PRECONDITION, main
 from qmb.exprparse import parse_element
+from qmb.identities import generator_position
 from qmb.minors import MinorId, minor_element, quantum_minor
 from qmb.ore import (
     LEFT,
@@ -301,7 +302,7 @@ def solve_directly(n, minor, element, side, m):
     """``_solve_at_power`` with neither the transpose nor the memo: the
     right-form system of the question itself, by the memo's uncached core."""
     if side == LEFT:
-        minor, element = minor.antitranspose(n), element.antitranspose()
+        minor, element = minor.image(ANTITRANSPOSE, n), element.antitranspose()
     cofactor, record = ore._solve_right.__wrapped__(n, minor, element, m)
     return cofactor if cofactor is None or side == RIGHT else cofactor.antitranspose(), record
 
@@ -336,7 +337,7 @@ def test_the_memo_hands_each_caller_its_own_records(tmp_path, capsys):
     w = solve_witness(n, minor, t, LEFT)
     true = copy.deepcopy(w.infeasible)
     w.infeasible[0]["rank"] += 1
-    image = minor.antitranspose(n)  # the right question with the same system
+    image = minor.image(ANTITRANSPOSE, n)  # the right question with the same system
     for again in (solve_witness(n, minor, t, LEFT), solve_witness(n, image, t.antitranspose(), RIGHT)):
         assert again.infeasible == true
     path = tmp_path / "w.json"
@@ -726,6 +727,55 @@ class TestWitnessForElement:
                 w = extend_to_power(w1, rng.randint(1, 2))
             assert w.certified
             assert w.residual().is_zero()
+
+
+def claim(w):
+    """Every field of ``w`` but its derivation and its certified flag."""
+    return w.n, w.minor, w.element, w.side, w.power, w.target_power, w.cofactor, w.scale, w.infeasible
+
+
+class TestWitnessImage:
+    """``ore._witness_image``: tau and T map a witness to a witness of the
+    image question (README lemma 1), with the side swapped under tau."""
+
+    def test_every_n3_solver_witness(self):
+        """All 324 n = 3 solver witnesses: each image certifies and is the
+        solver's witness for the image question, infeasibility records too."""
+        n, count = 3, 0
+        for minor, k, l, side in proper_items(n):
+            w = solve_witness(n, minor, gen(n, k, l), side)
+            for g in (ANTITRANSPOSE, TRANSPOSE):
+                image = ore._witness_image(g, w, "image", {}).certify()
+                assert image.side == (SIDES[1 - SIDES.index(side)] if g is ANTITRANSPOSE else side)
+                assert claim(image) == claim(solve_witness(n, image.minor, image.element, image.side))
+                assert claim(ore._witness_image(g, image, "image", {})) == claim(w)
+                assert image.derivation == {"rule": "image", "children": [w.derivation]}
+                count += 1
+        assert count == 648
+
+    def test_a_sample_of_n3_constructive_witnesses_on_both_mirror_branches(self):
+        """A seeded sample of n = 3 constructive witnesses: right-form ones,
+        which the route forms as tau of a left witness (``mirror``), and
+        left-form row gaps, formed as T of a column gap (``transposed-gap``).
+        Both images of each certify; the image under the branch's own map is
+        the constructive witness it was formed from."""
+        n, rng = 3, random.Random(35)
+        items = proper_items(n)
+        mirror = [it for it in items if it[3] == RIGHT]
+        row_gaps = [(minor, k, l, side) for minor, k, l, side in items
+                    if side == LEFT and generator_position(minor.rows, minor.cols, k, l) == "row-gap"]
+        branches = {"mirror": ANTITRANSPOSE, "transposed-gap": TRANSPOSE}
+        seen = set()
+        for minor, k, l, side in rng.sample(mirror, 40) + rng.sample(row_gaps, 4):
+            w = witness_generator_constructive(n, minor, k, l, side)
+            seen.add(w.derivation["rule"])
+            for g in (ANTITRANSPOSE, TRANSPOSE):
+                image = ore._witness_image(g, w, "image", {}).certify()
+                if g is branches[w.derivation["rule"]]:
+                    source = witness_generator_constructive(n, image.minor, *g.letter((k, l), n), image.side)
+                    assert claim(image) == claim(source)
+                    assert w.derivation["children"] == [source.derivation]
+        assert seen == set(branches)
 
 
 class TestTransposeDuality:
